@@ -9,7 +9,7 @@ function stabilization, and one column-space preimage.
 
 from .code import AlreadyCodewordError, Codeword, LinearCode, weight
 from .decoder import DecodeResult, DecodeStatus, decode, nearest_neighbor_count
-from .field import FieldElement, FieldMismatchError, PrimeField, is_prime
+from .field import FieldMismatchError, PrimeField, is_prime
 from .ideals import (
     IdealPiece,
     LinearFormSpace,
@@ -27,7 +27,7 @@ from .ideals import (
     verify_power_containment,
     verify_saturation_identity,
 )
-from .linalg import MatrixGF, nullspace, preimage_of_colspace, rank, rref, solve
+from .linalg import MatrixGF, preimage_of_colspace, solve
 from .oracle import (
     DEFAULT_THRESHOLD,
     OracleThresholdError,
@@ -48,7 +48,6 @@ from .polybasis import (
     monomial_basis,
     multiply,
     multiply_by_form,
-    multiply_by_power,
     product_of_linear_forms,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "DecodeResult",
     "DecodeStatus",
     "DEFAULT_THRESHOLD",
-    "FieldElement",
     "FieldMismatchError",
     "IdealPiece",
     "LinearCode",
@@ -91,17 +89,13 @@ __all__ = [
     "monomial_basis",
     "multiply",
     "multiply_by_form",
-    "multiply_by_power",
     "nearest_neighbor_count",
     "nearest_neighbors",
-    "nullspace",
     "point_from_forms",
     "preimage_of_colspace",
     "product_of_linear_forms",
     "projective_min_weight_count",
     "projective_words_of_weight",
-    "rank",
-    "rref",
     "solve",
     "verify_power_containment",
     "verify_saturation_identity",

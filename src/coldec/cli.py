@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,7 +95,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--errors", type=int, required=True, help="error weight per trial")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--csv", default=None, help="write per-trial rows here instead of stdout")
 
     return parser
@@ -246,8 +244,6 @@ def _cmd_simulate(args) -> int:
         raise _CliError("--trials must be at least 1")
     if not 0 <= args.errors <= C.n:
         raise _CliError(f"--errors must be between 0 and {C.n}")
-    if args.threads < 1:
-        raise _CliError("--threads must be at least 1")
     min_distance(C)  # cache d before the trial loop
 
     def run_trial(trial: int):
@@ -264,11 +260,7 @@ def _cmd_simulate(args) -> int:
         correct = res.message is not None and bool(np.array_equal(res.message, msg))
         return trial, res, correct, micros
 
-    if args.threads == 1:
-        rows = [run_trial(i) for i in range(args.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_trial, range(args.trials)))
+    rows = [run_trial(i) for i in range(args.trials)]
 
     successes = sum(1 for _, res, correct, _ in rows if correct)
     ambiguous = sum(1 for _, res, _, _ in rows if res.status is DecodeStatus.AMBIGUOUS)

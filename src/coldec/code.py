@@ -107,31 +107,6 @@ class LinearCode:
             raise AlreadyCodewordError("cannot augment: the word is already a codeword")
         return LinearCode(self.field, np.concatenate([self.G.a, w[None, :]], axis=0))
 
-    def puncture(self, columns) -> LinearCode:
-        """Delete a proper subset of coordinate positions.
-
-        If deleting columns makes some generator rows dependent, the
-        earliest maximal independent subset of rows is kept, so the
-        result is again a valid code (possibly of smaller dimension).
-        """
-        cols = sorted({int(c) for c in columns})
-        for c in cols:
-            if not 0 <= c < self.n:
-                raise ValueError(f"column index {c} out of range for length {self.n}")
-        if len(cols) >= self.n:
-            raise ValueError("cannot puncture away every coordinate")
-        keep = [c for c in range(self.n) if c not in set(cols)]
-        M = self.G.a[:, keep]
-        acc = kernels.Echelon(len(keep), self.field.p)
-        rows = []
-        for i in range(self.k):
-            before = acc.rank
-            if acc.insert(M[i][None, :]) > before:
-                rows.append(i)
-        if not rows:
-            raise ValueError("punctured generator matrix is zero")
-        return LinearCode(self.field, M[rows])
-
     def remove_row(self, j: int) -> LinearCode:
         """The [n, k-1] subcode spanned by all generator rows except row j."""
         j = int(j)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FieldMismatchError", "PrimeField", "FieldElement", "is_prime"]
+__all__ = ["FieldMismatchError", "PrimeField", "is_prime"]
 
 
 class FieldMismatchError(ValueError):
@@ -28,8 +28,8 @@ def is_prime(p: int) -> bool:
 class PrimeField:
     """The field GF(p) for a prime modulus p with 2 <= p < 2**16.
 
-    Instances are immutable and compare by modulus. All scalar helpers
-    take and return canonical residues in [0, p).
+    Instances are immutable and compare by modulus. Helpers return
+    canonical residues in [0, p).
     """
 
     __slots__ = ("p",)
@@ -51,21 +51,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value, self)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a modulo p, by the extended Euclidean algorithm."""
         a %= self.p
@@ -79,98 +64,7 @@ class PrimeField:
             s0, s1 = s1, s0 - q * s1
         return s0 % self.p
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def reduce(self, values) -> np.ndarray:
         """Copy `values` into a fresh int64 array of canonical residues."""
         arr = np.asarray(values, dtype=np.int64)
         return arr % self.p
-
-
-class FieldElement:
-    """A residue in a fixed prime field, with operator arithmetic.
-
-    Mixing elements of distinct fields raises FieldMismatchError at the
-    point where the mixed result would be constructed. Plain Python ints
-    are accepted as operands and reduced into the element's own field.
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = int(value) % field.p
-        self.field = field
-
-    def _operand(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine GF({self.field.p}) and GF({other.field.p}) elements"
-                )
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            return int(other) % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(v), self.field)
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v * self.field.inv(self.value), self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, np.integer)):
-            return self.value == int(other) % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

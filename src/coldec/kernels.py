@@ -1,19 +1,10 @@
 """GF(p) elimination kernels.
 
-The hot loops live here in two interchangeable implementations:
-
-* loop-style kernels compiled with numba ``@njit`` (the default whenever
-  numba is importable), and
-* pure-numpy fallbacks, vectorized one pivot at a time.
-
-``COLDEC_BACKEND`` selects at import: ``numba``, ``numpy``, or ``auto``
-(default, meaning numba when available). :func:`select_backend` switches at
-runtime; the benchmark uses it to compare both paths in one process.
-
-Both backends return identical public results. Reduced row echelon form
-over a field is unique, and every consumer of the incremental accumulator
-depends only on ranks and row spans, never on which echelon basis of the
-span was stored.
+One numpy implementation, vectorized one pivot column at a time: a
+canonical reduced row echelon form and an incremental echelon
+accumulator. Reduced row echelon form over a field is unique, and every
+consumer of the accumulator depends only on ranks and row spans, never on
+which echelon basis of the span was stored.
 
 All matrices are C-contiguous int64 arrays of canonical residues; entries
 stay below 2**16 so products fit comfortably in int64.
@@ -21,14 +12,10 @@ stay below 2**16 so products fit comfortably in int64.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "active_backend",
-    "select_backend",
     "rref_array",
     "rank_of_rows",
     "Echelon",
@@ -36,106 +23,9 @@ __all__ = [
 ]
 
 
-def _inv_scalar(a, p):
-    """Inverse of a nonzero residue modulo a prime, by extended Euclid."""
-    r0, r1 = a, p
-    s0, s1 = 1, 0
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
-
-
-# ---------------------------------------------------------------------------
-# Loop-style kernels. These are the numba sources; they are only ever called
-# through their compiled form (the numpy backend has its own functions).
-# ---------------------------------------------------------------------------
-
-
-def _rref_loops(a, p):
-    # In-place reduced row echelon form. Returns (rank, pivot columns).
-    rows, cols = a.shape
-    piv = np.empty(cols, np.int64)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != r:
-            for t in range(c, cols):
-                tmp = a[r, t]
-                a[r, t] = a[sel, t]
-                a[sel, t] = tmp
-        inv = _inv_scalar(a[r, c], p)
-        if inv != 1:
-            for t in range(c, cols):
-                a[r, t] = (a[r, t] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for t in range(c, cols):
-                    a[i, t] = (a[i, t] - f * a[r, t]) % p
-        piv[r] = c
-        r += 1
-    return r, piv[:r].copy()
-
-
-def _echelon_insert_loops(basis, pivrow, nbasis, rows, p, stop_rank):
-    # Feed `rows` (destroyed) into a pivot-indexed echelon accumulator.
-    # basis[0:nbasis] are normalized rows, pivrow[c] = basis row with pivot
-    # at column c (or -1). Unused basis rows must be zero-filled. Returns
-    # the new rank; stops consuming once it reaches stop_rank.
-    rank = nbasis
-    nr, cols = rows.shape
-    for i in range(nr):
-        if rank >= stop_rank:
-            break
-        c = 0
-        while c < cols:
-            v = rows[i, c]
-            if v != 0:
-                r = pivrow[c]
-                if r >= 0:
-                    for t in range(c, cols):
-                        rows[i, t] = (rows[i, t] - v * basis[r, t]) % p
-                else:
-                    inv = _inv_scalar(v, p)
-                    for t in range(c, cols):
-                        basis[rank, t] = (rows[i, t] * inv) % p
-                    pivrow[c] = rank
-                    rank += 1
-                    break
-            c += 1
-    return rank
-
-
-def _reduce_rows_loops(basis, pivrow, rows, p):
-    # Reduce each row (in place) against the accumulated echelon basis,
-    # without inserting. A row reduces to zero iff it lies in the span.
-    nr, cols = rows.shape
-    for i in range(nr):
-        for c in range(cols):
-            v = rows[i, c]
-            if v != 0:
-                r = pivrow[c]
-                if r >= 0:
-                    for t in range(c, cols):
-                        rows[i, t] = (rows[i, t] - v * basis[r, t]) % p
-
-
-# ---------------------------------------------------------------------------
-# Numpy fallbacks, vectorized per pivot column.
-# ---------------------------------------------------------------------------
-
-
-def _rref_numpy(a, p):
+def _rref(a, p):
+    # In-place reduced row echelon form, vectorized per pivot column.
+    # Returns (rank, pivot columns).
     rows, cols = a.shape
     piv = []
     r = 0
@@ -148,7 +38,7 @@ def _rref_numpy(a, p):
         sel = r + int(nz[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        inv = _inv_scalar(int(a[r, c]), p)
+        inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
             a[r] = (a[r] * inv) % p
         f = a[:, c].copy()
@@ -161,18 +51,28 @@ def _rref_numpy(a, p):
     return r, np.asarray(piv, np.int64)
 
 
-def _echelon_insert_numpy(basis, pivrow, nbasis, rows, p, stop_rank):
-    rank = nbasis
-    nr, cols = rows.shape
-    if rank >= stop_rank or nr == 0:
-        return rank
-    # Bulk-eliminate existing pivots in increasing column order. Stored
-    # basis rows are zero left of their pivot, so earlier columns stay zero.
+def _reduce_rows(basis, pivrow, rows, p):
+    # Reduce each row (in place) against the accumulated echelon basis,
+    # without inserting, eliminating existing pivots in increasing column
+    # order. Stored basis rows are zero left of their pivot, so earlier
+    # columns stay zero. A row reduces to zero iff it lies in the span.
     for c in np.nonzero(pivrow >= 0)[0]:
         f = rows[:, c]
         nz = np.nonzero(f)[0]
         if nz.size:
             rows[nz] = (rows[nz] - np.outer(f[nz], basis[pivrow[c]])) % p
+
+
+def _echelon_insert(basis, pivrow, nbasis, rows, p, stop_rank):
+    # Feed `rows` (destroyed) into a pivot-indexed echelon accumulator.
+    # basis[0:nbasis] are normalized rows, pivrow[c] = basis row with pivot
+    # at column c (or -1). Returns the new rank; stops consuming once it
+    # reaches stop_rank.
+    rank = nbasis
+    nr, cols = rows.shape
+    if rank >= stop_rank or nr == 0:
+        return rank
+    _reduce_rows(basis, pivrow, rows, p)
     # Forward-eliminate the block against itself, appending each new pivot.
     r = 0
     for c in range(cols):
@@ -184,7 +84,7 @@ def _echelon_insert_numpy(basis, pivrow, nbasis, rows, p, stop_rank):
         sel = r + int(nz[0])
         if sel != r:
             rows[[r, sel]] = rows[[sel, r]]
-        inv = _inv_scalar(int(rows[r, c]), p)
+        inv = pow(int(rows[r, c]), -1, p)
         if inv != 1:
             rows[r] = (rows[r] * inv) % p
         below = rows[r + 1 :, c]
@@ -198,74 +98,9 @@ def _echelon_insert_numpy(basis, pivrow, nbasis, rows, p, stop_rank):
     return rank
 
 
-def _reduce_rows_numpy(basis, pivrow, rows, p):
-    for c in np.nonzero(pivrow >= 0)[0]:
-        f = rows[:, c]
-        nz = np.nonzero(f)[0]
-        if nz.size:
-            rows[nz] = (rows[nz] - np.outer(f[nz], basis[pivrow[c]])) % p
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and selection.
-# ---------------------------------------------------------------------------
-
-_NUMPY_IMPL = {
-    "rref": _rref_numpy,
-    "insert": _echelon_insert_numpy,
-    "reduce": _reduce_rows_numpy,
-}
-
-try:
-    from numba import njit
-
-    _inv_scalar = njit(cache=True)(_inv_scalar)
-    _NUMBA_IMPL = {
-        "rref": njit(cache=True)(_rref_loops),
-        "insert": njit(cache=True)(_echelon_insert_loops),
-        "reduce": njit(cache=True)(_reduce_rows_loops),
-    }
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _NUMBA_IMPL = None
-    NUMBA_AVAILABLE = False
-
-_active_name = ""
-_active = _NUMPY_IMPL
-
-
-def select_backend(name: str) -> str:
-    """Activate a kernel backend ("numba" or "numpy"); returns the previous name.
-
-    Not thread-safe; switch only while no kernel calls are in flight.
-    """
-    global _active, _active_name
-    previous = _active_name
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        _active = _NUMBA_IMPL
-    elif name == "numpy":
-        _active = _NUMPY_IMPL
-    else:
-        raise ValueError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
-    _active_name = name
-    return previous
-
-
 def active_backend() -> str:
-    return _active_name
-
-
-_env = os.environ.get("COLDEC_BACKEND", "auto").strip().lower()
-if _env == "auto":
-    select_backend("numba" if NUMBA_AVAILABLE else "numpy")
-elif _env in ("numba", "numpy"):
-    select_backend(_env)
-else:
-    raise ValueError(
-        f"COLDEC_BACKEND={_env!r} is not valid; use 'numba', 'numpy' or 'auto'"
-    )
+    """Name of the elimination kernel; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +125,7 @@ def rref_array(a, p: int):
     m = _as_matrix(a, p)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return m, 0, ()
-    rank, piv = _active["rref"](m, p)
+    rank, piv = _rref(m, p)
     return m, int(rank), tuple(int(c) for c in piv)
 
 
@@ -336,16 +171,14 @@ class Echelon:
         if self.rank >= stop:
             return self.rank
         self._ensure_capacity(rows.shape[0])
-        self.rank = int(
-            _active["insert"](self._basis, self._pivrow, self.rank, rows, self.p, stop)
-        )
+        self.rank = _echelon_insert(self._basis, self._pivrow, self.rank, rows, self.p, stop)
         return self.rank
 
     def reduce(self, rows) -> np.ndarray:
         """Reduce rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
         if rows.shape[0] and self.rank:
-            _active["reduce"](self._basis, self._pivrow, rows, self.p)
+            _reduce_rows(self._basis, self._pivrow, rows, self.p)
         return rows
 
     def basis_rows(self):
@@ -365,7 +198,11 @@ def rank_of_rows(rows, p: int, stop_rank: int | None = None) -> int:
 
 
 def warmup():
-    """Force JIT compilation of the active kernels on tiny inputs."""
+    """Run every kernel once on tiny inputs.
+
+    There is nothing to compile; callers use this to touch each kernel
+    entry point (and numpy's own lazy set-up) before timing starts.
+    """
     demo = [[1, 1, 0], [0, 1, 1]]
     rref_array(demo, 2)
     acc = Echelon(3, 2)

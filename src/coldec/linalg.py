@@ -15,9 +15,6 @@ from .field import FieldMismatchError, PrimeField
 
 __all__ = [
     "MatrixGF",
-    "rref",
-    "rank",
-    "nullspace",
     "solve",
     "preimage_of_colspace",
 ]
@@ -41,14 +38,6 @@ class MatrixGF:
         self.field = field
         self.a = arr
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> MatrixGF:
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> MatrixGF:
-        return cls(field, np.zeros((rows, cols), np.int64))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -63,31 +52,6 @@ class MatrixGF:
 
     def transpose(self) -> MatrixGF:
         return MatrixGF(self.field, self.a.T)
-
-    def _check_same_field(self, other: MatrixGF):
-        if not isinstance(other, MatrixGF):
-            raise TypeError("expected a MatrixGF operand")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"cannot combine GF({self.field.p}) and GF({other.field.p}) matrices"
-            )
-
-    def __matmul__(self, other: MatrixGF) -> MatrixGF:
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return MatrixGF(self.field, (self.a @ other.a) % self.field.p)
-
-    def __add__(self, other: MatrixGF) -> MatrixGF:
-        self._check_same_field(other)
-        return MatrixGF(self.field, self.a + other.a)
-
-    def __sub__(self, other: MatrixGF) -> MatrixGF:
-        self._check_same_field(other)
-        return MatrixGF(self.field, self.a - other.a)
-
-    def __neg__(self) -> MatrixGF:
-        return MatrixGF(self.field, -self.a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixGF):
@@ -119,25 +83,13 @@ class MatrixGF:
         """
         p = self.field.p
         r, rk, piv = kernels.rref_array(self.a, p)
-        free = [c for c in range(self.cols) if c not in set(int(x) for x in piv)]
+        free = sorted(set(range(self.cols)).difference(piv))
         basis = np.zeros((len(free), self.cols), np.int64)
         for i, f in enumerate(free):
             basis[i, f] = 1
             for row, c in enumerate(piv):
                 basis[i, c] = (-int(r[row, f])) % p
         return basis
-
-
-def rref(m: MatrixGF):
-    return m.rref()
-
-
-def rank(m: MatrixGF) -> int:
-    return m.rank()
-
-
-def nullspace(m: MatrixGF) -> np.ndarray:
-    return m.nullspace()
 
 
 def solve(a: MatrixGF, b) -> np.ndarray | None:

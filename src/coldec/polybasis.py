@@ -31,7 +31,6 @@ __all__ = [
     "PolyVector",
     "multiply",
     "multiply_by_form",
-    "multiply_by_power",
     "product_of_linear_forms",
 ]
 
@@ -295,14 +294,6 @@ def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:
         idx = basis.mult_map(int(v))
         out[idx] = (out[idx] + int(form.coeffs[v]) * f.coeffs) % p
     return PolyVector(field, f.nvars, f.degree + 1, out)
-
-
-def multiply_by_power(f: PolyVector, var: int, u: int) -> PolyVector:
-    """Product with var**u; a pure index shift of the coefficients."""
-    idx = monomial_basis(f.nvars, f.degree).power_map(var, u)
-    out = np.zeros(monomial_basis(f.nvars, f.degree + u).size, np.int64)
-    out[idx] = f.coeffs
-    return PolyVector(f.field, f.nvars, f.degree + u, out)
 
 
 def product_of_linear_forms(forms) -> PolyVector:

@@ -68,7 +68,7 @@ def acceptance(request):
 
 def test_acceptance_1_worked_example_exact_and_fast(acceptance):
     with acceptance(1) as info:
-        kernels.warmup()  # JIT compilation paid before the stopwatch starts
+        kernels.warmup()  # one-time numpy set-up paid before the stopwatch starts
         timings = []
         for _ in range(3):
             C = LinearCode(PrimeField(2), DEMO_G)  # fresh object: nothing cached

@@ -176,10 +176,10 @@ def test_oracle_threshold_flag(demo_files, capsys):
     assert rc == 4 and err  # 2**3 messages exceed the tiny threshold
 
 
-def simulate_lines(capsys, tmp_path, *extra):
+def simulate_lines(capsys, tmp_path):
     code = tmp_path / "demo.code"
     code.write_text(DEMO_CODE_TEXT)
-    rc = main(["simulate", "--trials", "40", "--errors", "1", "--seed", "7", *extra, str(code)])
+    rc = main(["simulate", "--trials", "40", "--errors", "1", "--seed", "7", str(code)])
     out = capsys.readouterr().out
     return rc, out.splitlines()
 
@@ -205,15 +205,6 @@ def test_simulate_deterministic_modulo_timing(capsys, tmp_path):
     assert rc1 == rc2 == 0
     assert first[0].split("mean_decode_us=")[0] == second[0].split("mean_decode_us=")[0]
     assert stripped(first) == stripped(second)
-
-
-def test_simulate_thread_count_does_not_change_rows(capsys, tmp_path):
-    def stripped(lines):
-        return [",".join(r.split(",")[:-1]) for r in lines[1:]]
-
-    _, one = simulate_lines(capsys, tmp_path)
-    _, four = simulate_lines(capsys, tmp_path, "--threads", "4")
-    assert stripped(one) == stripped(four)
 
 
 def test_simulate_csv_file(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Linear code objects: encoding, membership, augmentation, puncturing."""
+"""Linear code objects: encoding, membership, augmentation, row removal."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from coldec import (
     Codeword,
     LinearCode,
     PrimeField,
-    enumerate_min_distance,
     min_distance,
     weight,
 )
@@ -95,32 +94,6 @@ def test_augment_enumeration_identity(demo_code, demo_word):
         msg = [(m >> i) & 1 for i in range(Cw.k)]
         got.add(tuple(Cw.encode(msg).v.tolist()))
     assert got == expected
-
-
-def test_puncture_demo(demo_code):
-    # dropping the last column leaves a [5,3] code of minimum distance 2
-    P = demo_code.puncture([5])
-    assert (P.n, P.k) == (5, 3)
-    assert min_distance(P) == enumerate_min_distance(P) == 2
-
-
-def test_puncture_validates(demo_code):
-    with pytest.raises(ValueError):
-        demo_code.puncture([6])
-    with pytest.raises(ValueError):
-        demo_code.puncture(range(6))  # cannot remove every column
-
-
-def test_puncture_can_reduce_dimension():
-    # both rows collapse to the same nonzero row once column 1 is gone
-    F = PrimeField(2)
-    C = LinearCode(F, [[1, 1, 0], [1, 0, 1]])
-    P = C.puncture([0])
-    assert P.n == 2
-    assert P.k == 2  # still independent here
-    C2 = LinearCode(F, [[1, 1, 1], [0, 1, 1]])
-    P2 = C2.puncture([1, 2])
-    assert (P2.n, P2.k) == (1, 1)
 
 
 def test_remove_row(demo_code):

@@ -1,11 +1,11 @@
-"""Prime-field arithmetic: axioms, inverses, and strict operand discipline."""
+"""Prime fields: modulus validation, canonical residues, and inverses."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec import FieldElement, FieldMismatchError, PrimeField, is_prime
+from coldec import PrimeField, is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13, 251, 65521]
 
@@ -35,25 +35,6 @@ def test_reduce_canonicalizes():
     assert arr.tolist() == [[6, 1], [0, 0]]
 
 
-@given(
-    p=st.sampled_from(PRIMES),
-    a=st.integers(min_value=-(10**6), max_value=10**6),
-    b=st.integers(min_value=-(10**6), max_value=10**6),
-    c=st.integers(min_value=-(10**6), max_value=10**6),
-)
-@settings(max_examples=200)
-def test_ring_axioms(p, a, b, c):
-    F = PrimeField(p)
-    a, b, c = F.reduce(a), F.reduce(b), F.reduce(c)
-    assert F.add(a, b) == F.add(b, a)
-    assert F.mul(a, b) == F.mul(b, a)
-    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-    assert F.add(a, F.neg(a)) == 0
-    assert F.sub(a, b) == F.add(a, F.neg(b))
-
-
 @given(p=st.sampled_from(PRIMES), a=st.integers(min_value=1, max_value=65520))
 @settings(max_examples=200)
 def test_inverse_is_two_sided(p, a):
@@ -62,49 +43,17 @@ def test_inverse_is_two_sided(p, a):
     if a == 0:
         return
     inv = F.inv(a)
-    assert F.mul(a, inv) == 1
-    assert F.mul(inv, a) == 1
-    assert F.div(a, a) == 1
+    assert (a * inv) % p == 1
+    assert (inv * a) % p == 1
 
 
 def test_zero_has_no_inverse():
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        F.div(3, 0)
 
 
 def test_field_equality_and_hash():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
-
-
-def test_element_operators():
-    F = PrimeField(7)
-    x = F.element(3)
-    y = F.element(5)
-    assert isinstance(x, FieldElement)
-    assert int(x + y) == 1
-    assert int(x - y) == 5
-    assert int(x * y) == 1
-    assert int(-x) == 4
-    assert int(x / y) == int(x * y.inverse())
-    assert int(2 + x) == 5  # reflected int coercion
-    assert int(2 * x) == 6
-    assert int(1 - x) == 5
-    assert int(1 / y) == int(y.inverse())
-    assert x == F.element(10)
-    assert x != y
-    assert hash(x) == hash(F.element(3))
-
-
-def test_cross_field_operations_rejected():
-    a = PrimeField(5).element(2)
-    b = PrimeField(7).element(2)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
-    with pytest.raises(FieldMismatchError):
-        _ = a * b
-    assert a != b

@@ -13,7 +13,6 @@ from coldec import (
     monomial_basis,
     multiply,
     multiply_by_form,
-    multiply_by_power,
     product_of_linear_forms,
 )
 from coldec.polybasis import checked_binomial
@@ -138,15 +137,6 @@ def test_multiply_by_form_matches_generic_multiply():
         form = LinearForm(F, coeffs)
         as_poly = form.as_poly()
         assert multiply_by_form(v, form) == multiply(v, as_poly)
-
-
-def test_multiply_by_power_is_repeated_form_product():
-    F = PrimeField(3)
-    v = poly_from_terms(F, 2, 1, {(1, 0): 2, (0, 1): 1})
-    y = LinearForm(F, [0, 1])
-    via_power = multiply_by_power(v, 1, 2)
-    via_forms = multiply_by_form(multiply_by_form(v, y), y)
-    assert via_power == via_forms
 
 
 def test_product_of_linear_forms_demo():
