@@ -1,13 +1,30 @@
 """GF(p) elimination kernels.
 
-One numpy implementation, vectorized one pivot column at a time: a
-canonical reduced row echelon form and an incremental echelon
-accumulator. Reduced row echelon form over a field is unique, and every
-consumer of the accumulator depends only on ranks and row spans, never on
-which echelon basis of the span was stored.
+One panel-blocked elimination, after the FFLAS-FFPACK scheme (Dumas,
+Giorgi, Pernet, "Dense linear algebra over word-size prime fields", ACM
+TOMS 2008). `Echelon` keeps a fully reduced basis: every stored row is one
+at its pivot column and zero in every other stored pivot column. Incoming
+rows are consumed in panels of `_PANEL` rows; each panel is reduced
+against the basis by one matrix product, the small residue is brought to
+reduced row echelon form one pivot column at a time, and its new pivot
+rows are back-substituted into the basis by a second product. `reduce` is
+a single product, and `rref_array` is the same accumulator with its rows
+sorted by pivot column.
 
-All matrices are C-contiguous int64 arrays of canonical residues; entries
-stay below 2**16 so products fit comfortably in int64.
+The products run as float64 matrix multiplications through BLAS with
+delayed modular reduction: entries are canonical residues in [0, p), so a
+product with inner dimension at most `cols` sums at most cols*(p-1)**2,
+and every step is exact while that, plus p, stays within 2**53.
+A width with cols * 4**b >= 2**53, where 2**b is the power of two above
+p - 1, is refused with a ValueError before any elimination buffer is
+allocated. Since p < 2**16, every matrix with fewer than 2**21 columns
+passes.
+
+Reduced row echelon form, rank, pivot columns and the residue of a row
+(the unique vector of row + span that is zero in every pivot column) are
+canonical, so none depends on the blocking; only which basis of the span
+`Echelon.basis_rows` returns does. Inputs and outputs are int64 arrays of
+canonical residues.
 """
 
 from __future__ import annotations
@@ -22,80 +39,105 @@ __all__ = [
     "warmup",
 ]
 
+_PANEL = 64
+
+
+def _check_exact(cols: int, p: int):
+    # Entries are below 2**b with b = (p-1).bit_length(), so a product with
+    # inner dimension at most `cols` stays below cols * 4**b. Keeping that
+    # below 2**53 also leaves the margin of p that _mod needs.
+    b = (p - 1).bit_length()
+    if cols << (2 * b) >= 2**53:
+        raise ValueError(
+            f"{cols} columns over GF({p}) are too many for exact float64 "
+            f"elimination: cols * 4**{b} must stay below 2**53"
+        )
+
+
+def _mod(x, p):
+    # x mod p in place, for integer-valued float64 x with |x| + p <= 2**53.
+    # The correctly rounded quotient x/p lies within less than 1/p of the
+    # true one, so it never crosses an integer and its floor is exact. From
+    # about 64 cells up this is several times faster than np.remainder on
+    # float64; below that np.remainder's single call is cheaper.
+    p = float(p)  # a float divisor spares numpy a mixed-type dispatch
+    if x.size < 64:
+        return np.remainder(x, p, out=x)
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
 
 def _rref(a, p):
-    # In-place reduced row echelon form, vectorized per pivot column.
-    # Returns (rank, pivot columns).
+    # In-place reduced row echelon form of a small float64 panel, one pivot
+    # column at a time; every intermediate stays below p**2 < 2**32, so the
+    # float arithmetic is exact. Any nonzero entry may serve as the pivot,
+    # since the result is unique. Columns that are zero in every row stay
+    # zero; past tiny panels they are skipped up front. Returns (rank,
+    # pivot columns).
     rows, cols = a.shape
     piv = []
     r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    candidates = a.any(axis=0).nonzero()[0].tolist() if a.size >= 64 else range(cols)
+    for c in candidates:
+        sel = r + int(a[r:, c].argmax())
+        if a[sel, c] == 0:
             continue
-        sel = r + int(nz[0])
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
+        v = int(a[r, c])
+        if v != 1:
+            a[r, c:] = _mod(a[r, c:] * pow(v, -1, p), p)
         f = a[:, c].copy()
         f[r] = 0
-        nzr = np.nonzero(f)[0]
-        if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(f[nzr], a[r])) % p
+        if np.count_nonzero(f):
+            # Row r is zero left of c, so only columns c.. change.
+            a[:, c:] -= f[:, None] * a[r, c:]
+            _mod(a[:, c:], p)
         piv.append(c)
         r += 1
-    return r, np.asarray(piv, np.int64)
-
-
-def _reduce_rows(basis, pivrow, rows, p):
-    # Reduce each row (in place) against the accumulated echelon basis,
-    # without inserting, eliminating existing pivots in increasing column
-    # order. Stored basis rows are zero left of their pivot, so earlier
-    # columns stay zero. A row reduces to zero iff it lies in the span.
-    for c in np.nonzero(pivrow >= 0)[0]:
-        f = rows[:, c]
-        nz = np.nonzero(f)[0]
-        if nz.size:
-            rows[nz] = (rows[nz] - np.outer(f[nz], basis[pivrow[c]])) % p
-
-
-def _echelon_insert(basis, pivrow, nbasis, rows, p, stop_rank):
-    # Feed `rows` (destroyed) into a pivot-indexed echelon accumulator.
-    # basis[0:nbasis] are normalized rows, pivrow[c] = basis row with pivot
-    # at column c (or -1). Returns the new rank; stops consuming once it
-    # reaches stop_rank.
-    rank = nbasis
-    nr, cols = rows.shape
-    if rank >= stop_rank or nr == 0:
-        return rank
-    _reduce_rows(basis, pivrow, rows, p)
-    # Forward-eliminate the block against itself, appending each new pivot.
-    r = 0
-    for c in range(cols):
-        if rank >= stop_rank or r >= nr:
+        if r == rows:
             break
-        nz = np.nonzero(rows[r:, c])[0]
-        if nz.size == 0:
+    return r, piv
+
+
+def _eliminate(basis, piv, rows, p, stop):
+    # Absorb int64 residue rows, panel by panel, into the fully reduced
+    # float64 basis[:rank] whose pivot columns are the list `piv` (rank =
+    # len(piv)), until the rank reaches `stop`. `basis` must have room for
+    # the rows gained. Returns the new rank.
+    rank = len(piv)
+    for start in range(0, rows.shape[0], _PANEL):
+        if rank >= stop:
+            break
+        panel = rows[start : start + _PANEL].astype(np.float64)
+        if rank:
+            panel -= panel[:, piv] @ basis[:rank]
+            _mod(panel, p)
+        k, new_piv = _rref(panel, p)
+        k = min(k, stop - rank)
+        if not k:
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            rows[[r, sel]] = rows[[sel, r]]
-        inv = pow(int(rows[r, c]), -1, p)
-        if inv != 1:
-            rows[r] = (rows[r] * inv) % p
-        below = rows[r + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            rows[r + 1 + nzb] = (rows[r + 1 + nzb] - np.outer(below[nzb], rows[r])) % p
-        basis[rank] = rows[r]
-        pivrow[c] = rank
-        rank += 1
-        r += 1
+        new_piv = new_piv[:k]
+        if rank:
+            old = basis[:rank]
+            old -= old[:, new_piv] @ panel[:k]
+            _mod(old, p)
+        basis[rank : rank + k] = panel[:k]
+        piv += new_piv
+        rank += k
     return rank
+
+
+def _by_pivot(basis, piv):
+    # The basis rows and their pivot columns, ordered by pivot column;
+    # rows that came from a single panel already are.
+    if piv == sorted(piv):
+        return basis[: len(piv)], tuple(piv)
+    order = np.argsort(piv)
+    return basis[order], tuple(sorted(piv))
 
 
 def active_backend() -> str:
@@ -123,69 +165,77 @@ def rref_array(a, p: int):
     The input is not modified.
     """
     m = _as_matrix(a, p)
-    if m.shape[0] == 0 or m.shape[1] == 0:
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
         return m, 0, ()
-    rank, piv = _rref(m, p)
-    return m, int(rank), tuple(int(c) for c in piv)
+    _check_exact(cols, p)
+    basis, piv = np.empty((min(rows, cols), cols)), []
+    rank = _eliminate(basis, piv, m, p, cols)
+    reduced, pivots = _by_pivot(basis, piv)
+    m[:rank] = reduced
+    m[rank:] = 0
+    return m, rank, pivots
 
 
 class Echelon:
     """Incremental echelon accumulator for rows over GF(p).
 
-    Keeps one normalized row per pivot column (zero left of the pivot, one
-    at it); insertion order never changes ranks or spans, which is all
-    callers may rely on. The row buffer grows geometrically up to `cols`.
+    Keeps one fully reduced row per pivot column (one at its pivot, zero
+    in every other pivot column); insertion order never changes ranks,
+    pivot columns or spans, which is all callers may rely on. The row
+    buffer grows geometrically up to `cols`. Raises ValueError when `cols`
+    is too wide for exact float64 products over GF(p).
     """
 
     def __init__(self, cols: int, p: int):
+        _check_exact(int(cols), int(p))
         self.cols = int(cols)
         self.p = int(p)
         self.rank = 0
         self._cap = 0
-        self._basis = np.zeros((0, self.cols), np.int64)
-        self._pivrow = np.full(self.cols, -1, np.int64)
+        self._basis = np.empty((0, self.cols))
+        self._piv = []
 
     def _ensure_capacity(self, incoming: int):
         need = min(self.cols, self.rank + incoming)
         if need <= self._cap:
             return
         new_cap = min(self.cols, max(need, 2 * self._cap, 32))
-        grown = np.zeros((new_cap, self.cols), np.int64)
+        basis = np.empty((new_cap, self.cols))
         if self.rank:
-            grown[: self.rank] = self._basis[: self.rank]
-        self._basis = grown
-        self._cap = new_cap
+            basis[: self.rank] = self._basis[: self.rank]
+        self._basis, self._cap = basis, new_cap
 
     def insert(self, rows, stop_rank: int | None = None, consume: bool = False) -> int:
         """Feed rows into the accumulator; returns the updated rank.
 
         Stops consuming once `stop_rank` is reached. With consume=True the
         caller hands over ownership of a fresh C-contiguous int64 residue
-        array, which is destroyed in place.
+        array, which may be destroyed.
         """
         if not consume:
             rows = _as_matrix(rows, self.p)
         if rows.shape[0] == 0:
             return self.rank
         stop = self.cols if stop_rank is None else min(stop_rank, self.cols)
-        if self.rank >= stop:
-            return self.rank
-        self._ensure_capacity(rows.shape[0])
-        self.rank = _echelon_insert(self._basis, self._pivrow, self.rank, rows, self.p, stop)
+        if self.rank < stop:
+            self._ensure_capacity(rows.shape[0])
+            self.rank = _eliminate(self._basis, self._piv, rows, self.p, stop)
         return self.rank
 
     def reduce(self, rows) -> np.ndarray:
-        """Reduce rows against the accumulated basis (copy; no insertion)."""
+        """Residues of rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
         if rows.shape[0] and self.rank:
-            _reduce_rows(self._basis, self._pivrow, rows, self.p)
+            basis = self._basis[: self.rank]
+            red = rows - rows[:, self._piv].astype(np.float64) @ basis
+            rows = _mod(red, self.p).astype(np.int64)
         return rows
 
     def basis_rows(self):
         """Accumulated basis as (rows, pivots), ordered by pivot column."""
-        piv_cols = np.nonzero(self._pivrow >= 0)[0]
-        rows = self._basis[self._pivrow[piv_cols]].copy()
-        return rows, tuple(int(c) for c in piv_cols)
+        rows, pivots = _by_pivot(self._basis, self._piv)
+        return rows.astype(np.int64), pivots
 
 
 def rank_of_rows(rows, p: int, stop_rank: int | None = None) -> int:

@@ -68,7 +68,7 @@ class MatrixGF:
     def rref(self):
         """Canonical reduced row echelon form: (R, rank, pivot columns)."""
         r, rk, piv = kernels.rref_array(self.a, self.field.p)
-        return MatrixGF(self.field, r), rk, tuple(int(c) for c in piv)
+        return MatrixGF(self.field, r), rk, piv
 
     def rank(self) -> int:
         return kernels.rank_of_rows(self.a, self.field.p)
@@ -85,10 +85,8 @@ class MatrixGF:
         r, rk, piv = kernels.rref_array(self.a, p)
         free = sorted(set(range(self.cols)).difference(piv))
         basis = np.zeros((len(free), self.cols), np.int64)
-        for i, f in enumerate(free):
-            basis[i, f] = 1
-            for row, c in enumerate(piv):
-                basis[i, c] = (-int(r[row, f])) % p
+        basis[range(len(free)), free] = 1
+        basis[:, piv] = (-r[:rk][:, free].T) % p
         return basis
 
 

@@ -111,11 +111,24 @@ class MonomialBasis:
         return tuple(out)
 
     def exponents(self) -> np.ndarray:
-        """Full (size, nvars) exponent table, computed once."""
+        """Full (size, nvars) exponent table, computed once.
+
+        Row i is `unrank(i)`. The rows with first exponent a form one
+        contiguous block, a = degree first, whose remaining exponents are
+        the table of one variable fewer and degree - a.
+        """
         if self._exps is None:
-            table = np.empty((self.size, self.nvars), np.int64)
-            for i in range(self.size):
-                table[i] = self.unrank(i)
+            if self.nvars == 1:
+                table = np.full((1, 1), self.degree, np.int64)
+            else:
+                blocks = []
+                for a in range(self.degree, -1, -1):
+                    rest = monomial_basis(self.nvars - 1, self.degree - a).exponents()
+                    block = np.empty((rest.shape[0], self.nvars), np.int64)
+                    block[:, 0] = a
+                    block[:, 1:] = rest
+                    blocks.append(block)
+                table = np.concatenate(blocks)
             table.flags.writeable = False
             self._exps = table
         return self._exps

@@ -1,7 +1,7 @@
-"""Elimination kernels: known values, and a differential test of the numpy
-kernel against the loop-style reference backend in reference_kernels
-through every public surface (RREF, ranks, membership reduction, echelon
-bases)."""
+"""Elimination kernels: known values, the exactness guard, and a
+differential test of the panel-blocked kernel against the loop-style
+reference in reference_kernels through every public surface (RREF, ranks,
+membership reduction, echelon bases), below and across panel sizes."""
 
 import numpy as np
 import pytest
@@ -24,12 +24,47 @@ def test_rref_known_values():
     assert R.tolist() == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
 
 
+def _check_against_reference(a, p, blocks, extra):
+    # RREF, ranks, pivots, and membership residues are canonical and must
+    # match the loop reference bit for bit; echelon basis rows only promise
+    # an equal span. `a` goes into the accumulator as consecutive blocks of
+    # the given sizes, so later blocks meet an existing basis.
+    cols = a.shape[1]
+    cuts = np.cumsum([0, *blocks])
+    assert cuts[-1] == a.shape[0]
+    R, r, piv = kernels.rref_array(a, p)
+    acc = kernels.Echelon(cols, p)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        acc.insert(a[lo:hi])
+    reduced = acc.reduce(extra)
+    basis, pivcols = acc.basis_rows()
+
+    ref_R = a.copy()
+    ref_r, ref_piv = _rref_loops(ref_R, p)
+    ref_basis = np.zeros((cols, cols), np.int64)
+    ref_pivrow = np.full(cols, -1, np.int64)
+    ref_rank = 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ref_rank = _echelon_insert_loops(
+            ref_basis, ref_pivrow, ref_rank, a[lo:hi].copy(), p, cols
+        )
+    ref_reduced = extra.copy()
+    _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
+
+    case = (p, a.tolist(), list(blocks))
+    assert R.tolist() == ref_R.tolist(), case
+    assert r == ref_r == acc.rank == ref_rank, case
+    assert piv == tuple(ref_piv.tolist()), case
+    assert pivcols == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
+    assert reduced.tolist() == ref_reduced.tolist(), case
+    if r:
+        stacked = np.vstack([basis, ref_basis[:ref_rank]])
+        assert kernels.rank_of_rows(stacked, p) == r, case
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
 def test_backends_agree_on_rref_rank_reduce(p):
-    # RREF, ranks, pivots, and membership residues are canonical and must
-    # match bit-for-bit; echelon basis rows only promise an equal span.
-    # Rows go in as two blocks, so the second insert reduces against an
-    # existing basis.
+    # Small matrices, inserted as two blocks.
     rng = np.random.default_rng(2024)
     for _ in range(200):
         rows = int(rng.integers(1, 12))
@@ -37,34 +72,58 @@ def test_backends_agree_on_rref_rank_reduce(p):
         a = rng.integers(0, p, size=(rows, cols))
         extra = rng.integers(0, p, size=(3, cols))
         split = int(rng.integers(0, rows + 1))
+        _check_against_reference(a, p, [split, rows - split], extra)
 
-        R, r, piv = kernels.rref_array(a, p)
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_blocked_kernel_matches_reference_across_panels(p):
+    # Matrices of several panels, full-rank and rank-deficient (products of
+    # thin random factors), inserted as 3-5 uneven blocks, so new pivot rows
+    # are back-substituted into an existing basis many times. The extra rows
+    # mix random rows with members of the row space.
+    rng = np.random.default_rng(31 + p)
+    shapes = [(200, 150, None), (200, 150, 12), (150, 200, None), (130, 100, 40),
+              (160, 40, None), (70, 90, 65)]
+    for rows, cols, thin in shapes:
+        if thin is None:
+            a = rng.integers(0, p, size=(rows, cols))
+        else:
+            a = rng.integers(0, p, size=(rows, thin)) @ rng.integers(0, p, size=(thin, cols)) % p
+        nblocks = int(rng.integers(3, 6))
+        cuts = np.sort(rng.choice(np.arange(1, rows), size=nblocks - 1, replace=False))
+        blocks = np.diff([0, *cuts.tolist(), rows]).tolist()
+        members = rng.integers(0, p, size=(4, rows)) @ a % p
+        extra = np.vstack([rng.integers(0, p, size=(5, cols)), members])
+        _check_against_reference(a, p, blocks, extra)
         acc = kernels.Echelon(cols, p)
-        acc.insert(a[:split])
-        acc.insert(a[split:])
-        reduced = acc.reduce(extra)
-        basis, pivcols = acc.basis_rows()
+        acc.insert(a)
+        assert not acc.reduce(members).any()
 
-        ref_R = a.copy()
-        ref_r, ref_piv = _rref_loops(ref_R, p)
-        ref_basis = np.zeros((cols, cols), np.int64)
-        ref_pivrow = np.full(cols, -1, np.int64)
-        ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, 0, a[:split].copy(), p, cols)
-        ref_rank = _echelon_insert_loops(
-            ref_basis, ref_pivrow, ref_rank, a[split:].copy(), p, cols
-        )
-        ref_reduced = extra.copy()
-        _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
 
-        case = (p, a.tolist(), split)
-        assert R.tolist() == ref_R.tolist(), case
-        assert r == ref_r == acc.rank == ref_rank, case
-        assert piv == tuple(ref_piv.tolist()), case
-        assert pivcols == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
-        assert reduced.tolist() == ref_reduced.tolist(), case
-        if r:
-            stacked = np.vstack([basis, ref_basis[:ref_rank]])
-            assert kernels.rank_of_rows(stacked, p) == r, case
+@pytest.mark.parametrize("stop", [1, 37, 64, 65, 99])
+def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
+    # A full-rank 150 x 100 matrix over GF(3); the target rank falls inside
+    # the first or the second 64-row panel, after a first block of 10 rows.
+    p = 3
+    a = np.random.default_rng(5).integers(0, p, size=(150, 100))
+    assert kernels.rank_of_rows(a, p) == 100
+    acc = kernels.Echelon(100, p)
+    first = acc.insert(a[:10], stop_rank=stop)
+    assert first == min(stop, 10)
+    assert acc.insert(a[10:], stop_rank=stop) == stop
+    assert acc.rank == stop
+    basis, piv = acc.basis_rows()
+    assert basis.shape == (stop, 100) and len(piv) == stop
+    assert kernels.rank_of_rows(basis, p) == stop  # independent rows
+    assert kernels.rank_of_rows(np.vstack([a, basis]), p) == 100  # from the span
+    assert acc.insert(a) == 100  # without a stop the rest goes in
+    assert kernels.rank_of_rows(a, p, stop_rank=stop) == stop
+
+
+def test_exactness_guard_refuses_too_wide_pieces():
+    # p - 1 = 65520 < 2**16, so the guard admits fewer than 2**21 columns.
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        kernels.Echelon(2**21, 65521)
 
 
 def test_echelon_incremental_matches_batch():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec import MatrixGF, PrimeField, preimage_of_colspace, solve
+from coldec import FieldMismatchError, MatrixGF, PrimeField, preimage_of_colspace, solve
 
 
 def M(p, rows):
@@ -88,6 +88,11 @@ def test_preimage_of_colspace_full():
     B = M(3, [[1, 2], [0, 1]])
     pre = preimage_of_colspace(A, B)
     assert pre.tolist() == [[1, 0], [0, 1]]
+
+
+def test_preimage_of_colspace_refuses_mixed_fields():
+    with pytest.raises(FieldMismatchError):
+        preimage_of_colspace(M(2, [[1], [0]]), M(3, [[1, 0], [0, 1]]))
 
 
 def test_preimage_of_colspace_property():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coldec import (
     BinomialOverflowError,
+    FieldMismatchError,
     LinearForm,
     PolyVector,
     PrimeField,
@@ -55,6 +56,18 @@ def test_exponents_table_matches_unrank():
         assert basis.rank(table[i]) == i
     # table rows all sum to the degree
     assert (table.sum(axis=1) == 3).all()
+
+
+@pytest.mark.parametrize(
+    "nvars,degree", [(1, 0), (1, 4), (2, 0), (2, 5), (4, 0), (4, 6), (6, 3)]
+)
+def test_exponents_table_is_the_unrank_table(nvars, degree):
+    basis = monomial_basis(nvars, degree)
+    expect = [basis.unrank(i) for i in range(basis.size)]
+    table = basis.exponents()
+    assert table.dtype == np.int64 and table.shape == (basis.size, nvars)
+    assert [tuple(row) for row in table.tolist()] == expect
+    assert not table.flags.writeable
 
 
 def test_rank_validates_input():
@@ -124,6 +137,17 @@ def test_multiply_freshman_dream_gf2():
     sq = multiply(f, f)
     expect = poly_from_terms(F, 2, 2, {(2, 0): 1, (0, 2): 1})
     assert sq == expect
+
+
+def test_products_refuse_operands_over_different_fields():
+    f2 = poly_from_terms(PrimeField(2), 2, 1, {(1, 0): 1, (0, 1): 1})
+    g3 = poly_from_terms(PrimeField(3), 2, 1, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(FieldMismatchError):
+        multiply(f2, g3)
+    with pytest.raises(FieldMismatchError):
+        multiply_by_form(f2, LinearForm(PrimeField(3), [1, 2]))
+    with pytest.raises(FieldMismatchError):
+        multiply_by_form(g3, LinearForm(PrimeField(2), [1, 1]))
 
 
 def test_multiply_by_form_matches_generic_multiply():
