@@ -32,7 +32,6 @@ from .oracle import (
     DEFAULT_THRESHOLD,
     OracleThresholdError,
     WeightDistribution,
-    coset_weight,
     count_at_distance,
     enumerate_min_distance,
     nearest_neighbors,
@@ -77,7 +76,6 @@ __all__ = [
     "build_ideal",
     "colon_degree",
     "colon_linear_piece",
-    "coset_weight",
     "count_at_distance",
     "decode",
     "enumerate_min_distance",

@@ -18,7 +18,6 @@ import numpy as np
 from . import fileio, ideals, oracle
 from .code import LinearCode
 from .decoder import DecodeStatus, decode
-from .field import is_prime
 from .ideals import build_ideal, colon_degree, colon_linear_piece, ideal_degree, min_distance
 from .oracle import OracleThresholdError
 from .simrng import trial_rng
@@ -44,11 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coldec", description="Exact decoding of linear codes over GF(p)")
-    parser.add_argument(
-        "--field-check",
-        action="store_true",
-        help="re-verify primality of the modulus after loading (always verified at load)",
-    )
     parser.add_argument(
         "--oracle-threshold",
         type=int,
@@ -100,15 +94,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_code(args) -> LinearCode:
-    C = fileio.load_code(args.code)
-    if args.field_check and not is_prime(C.field.p):
-        raise fileio.FormatError(f"modulus {C.field.p} is not prime")
-    return C
-
-
 def _cmd_mindist(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     d = min_distance(C)
     line = f"n={C.n} k={C.k} d={d}"
     if args.oracle:
@@ -139,7 +126,7 @@ def _oracle_agrees(C: LinearCode, res, w, threshold: int) -> bool:
 
 
 def _cmd_decode(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     w = fileio.load_word(args.word, C)
     t0 = time.perf_counter()
     res = decode(C, w, colon_power=args.colon_power)
@@ -155,7 +142,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_count_min(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     d = min_distance(C)
     if d == 0:
         raise _CliError("code has an all-zero coordinate; no minimum-weight count")
@@ -174,7 +161,7 @@ def _cmd_count_min(args) -> int:
 
 
 def _cmd_count_diff(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     if C.k < 2:
         raise _CliError("count-diff needs a code of dimension at least 2")
     if not 1 <= args.row <= C.k:
@@ -203,7 +190,7 @@ def _cmd_count_diff(args) -> int:
 
 
 def _cmd_check_reg(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     w = fileio.load_word(args.word, C)
     inside, _ = C.contains(w)
     d = min_distance(C)
@@ -238,7 +225,7 @@ def _cmd_check_reg(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    C = _load_code(args)
+    C = fileio.load_code(args.code)
     p = C.field.p
     if args.trials < 1:
         raise _CliError("--trials must be at least 1")
@@ -302,16 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (fileio.FormatError, OracleThresholdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (_CliError, OracleThresholdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

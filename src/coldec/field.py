@@ -52,17 +52,11 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse of a modulo p, by the extended Euclidean algorithm."""
-        a %= self.p
-        if a == 0:
+        """Multiplicative inverse of a modulo p."""
+        a = int(a) % self.p
+        if a == 0:  # pow would raise ValueError
             raise ZeroDivisionError("zero has no inverse in GF(p)")
-        r0, r1 = a, self.p
-        s0, s1 = 1, 0
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def reduce(self, values) -> np.ndarray:
         """Copy `values` into a fresh int64 array of canonical residues."""

@@ -184,12 +184,12 @@ class IdealPiece:
             acc.insert(self.gens.a)
         else:
             prev_rows, _ = self.piece(m - 1)
-            prev_basis = monomial_basis(self.nvars, m - 1)
+            maps = monomial_basis(self.nvars, m - 1).power_maps(1)
             for v in range(self.nvars):
                 if prev_rows.shape[0] == 0:
                     break
                 block = np.zeros((prev_rows.shape[0], size), np.int64)
-                block[:, prev_basis.mult_map(v)] = prev_rows
+                block[:, maps[v]] = prev_rows
                 acc.insert(block, consume=True)
         rows, _ = acc.basis_rows()
         result = (rows, int(acc.rank))
@@ -380,7 +380,7 @@ def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
     rows, rank = ideal.piece(u + 1)
     size = monomial_basis(ideal.nvars, u + 1).size
     a = MatrixGF(field, rows.T if rank else np.zeros((size, 0), np.int64))
-    targets = monomial_basis(ideal.nvars, 1).power_map(var, u)
+    targets = monomial_basis(ideal.nvars, 1).power_maps(u)[var]
     b = np.zeros((size, ideal.nvars), np.int64)
     b[targets, np.arange(ideal.nvars)] = 1
     basis = preimage_of_colspace(a, MatrixGF(field, b))

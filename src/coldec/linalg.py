@@ -1,9 +1,10 @@
 """Dense exact linear algebra over GF(p).
 
-Canonical reduced row echelon forms, nullspaces, linear solves, and
-column-space preimages. Everything is deterministic: pivoting always takes
-the first nonzero candidate, canonical bases come from reduced echelon
-forms, and free variables receive fixed conventional values.
+Nullspaces, linear solves, and column-space preimages, all read off the
+reduced row echelon forms of `kernels.rref_array`. Everything is
+deterministic: the reduced echelon form is unique whichever nonzero entry
+the kernel pivots on, canonical bases come from it, and free variables
+receive fixed conventional values.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ class MatrixGF:
 
     def __repr__(self) -> str:
         return f"MatrixGF(GF({self.field.p}), shape={self.a.shape})"
-
-    def rref(self):
-        """Canonical reduced row echelon form: (R, rank, pivot columns)."""
-        r, rk, piv = kernels.rref_array(self.a, self.field.p)
-        return MatrixGF(self.field, r), rk, piv
-
-    def rank(self) -> int:
-        return kernels.rank_of_rows(self.a, self.field.p)
 
     def nullspace(self) -> np.ndarray:
         """Canonical right-nullspace basis, one row per free column.

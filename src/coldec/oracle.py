@@ -22,7 +22,6 @@ __all__ = [
     "weight_distribution",
     "projective_min_weight_count",
     "nearest_neighbors",
-    "coset_weight",
     "count_at_distance",
     "projective_words_of_weight",
 ]
@@ -134,12 +133,6 @@ def nearest_neighbors(C: LinearCode, w, threshold: int = DEFAULT_THRESHOLD):
             found.append(words[dist == lo])
     vectors = np.concatenate(found, axis=0)
     return best, vectors
-
-
-def coset_weight(C: LinearCode, w, threshold: int = DEFAULT_THRESHOLD) -> int:
-    """min over codewords v of weight(w - v); zero exactly when w is in C."""
-    d_w, _ = nearest_neighbors(C, w, threshold)
-    return d_w
 
 
 def count_at_distance(C: LinearCode, w, dist: int, threshold: int = DEFAULT_THRESHOLD) -> int:

@@ -57,7 +57,7 @@ def checked_binomial(n: int, k: int, what: str = "") -> int:
 class MonomialBasis:
     """The monomials of one total degree in graded lexicographic order."""
 
-    __slots__ = ("nvars", "degree", "size", "_exps", "_mult_maps", "_power_maps")
+    __slots__ = ("nvars", "degree", "size", "_exps", "_maps")
 
     def __init__(self, nvars: int, degree: int):
         if nvars < 1:
@@ -70,8 +70,36 @@ class MonomialBasis:
             nvars + degree - 1, degree, f"monomial basis nvars={nvars}, degree={degree}"
         )
         self._exps = None
-        self._mult_maps = {}
-        self._power_maps = {}
+        self._maps = {}
+
+    def index(self, exponents) -> np.ndarray:
+        """Positions of the rows of an (m, nvars) exponent table.
+
+        Every row must be nonnegative with total degree `degree`, or
+        ValueError is raised. A row e comes after each exponent vector that
+        agrees with it before some position i and is larger at i. With r
+        the degree e leaves after position i and t = nvars-1-i positions
+        still to fill, there are C(r-1+t, t) of those (zero when r = 0), so
+        the position is a sum of lookups in one binomial table.
+        """
+        e = np.asarray(exponents, np.int64)
+        if (
+            e.ndim != 2
+            or e.shape[1] != self.nvars
+            or (e < 0).any()
+            or (e.sum(axis=1) != self.degree).any()
+        ):
+            raise ValueError(
+                f"need an (m, {self.nvars}) table of nonnegative exponent rows "
+                f"of total degree {self.degree}"
+            )
+        later = range(self.nvars - 1, 0, -1)
+        table = np.array(
+            [math.comb(r - 1 + t, t) for t in later for r in range(self.degree + 1)],
+            np.int64,
+        ).reshape(self.nvars - 1, self.degree + 1)
+        remaining = self.degree - np.cumsum(e[:, :-1], axis=1)
+        return table[np.arange(self.nvars - 1), remaining].sum(axis=1)
 
     def rank(self, exponents) -> int:
         """Position of an exponent vector within the basis."""
@@ -80,15 +108,7 @@ class MonomialBasis:
             raise ValueError(f"bad exponent vector {e} for {self.nvars} variables")
         if sum(e) != self.degree:
             raise ValueError(f"exponents {e} do not have total degree {self.degree}")
-        m = self.nvars
-        rem = self.degree
-        r = 0
-        for i in range(m - 1):
-            t = m - 1 - i
-            # count exponent vectors that agree so far but are larger at i
-            r += math.comb(rem - e[i] - 1 + t, t) if rem - e[i] >= 1 else 0
-            rem -= e[i]
-        return r
+        return int(self.index([e])[0])
 
     def unrank(self, index: int) -> tuple:
         """Exponent vector at a basis position."""
@@ -133,49 +153,25 @@ class MonomialBasis:
             self._exps = table
         return self._exps
 
-    def mult_map(self, var: int) -> np.ndarray:
-        """Index map for multiplication by variable `var`.
+    def power_maps(self, u: int) -> np.ndarray:
+        """Index maps for multiplication by each variable to the power u.
 
-        Entry j is the rank, in the degree+1 basis, of the j-th monomial
-        times the variable. The map is injective.
+        Row v of the (nvars, size) result holds the position, in the
+        degree+u basis, of each monomial of this basis times x_v**u; every
+        row is injective. Computed once per u.
         """
-        var = int(var)
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
-        cached = self._mult_maps.get(var)
-        if cached is None:
-            target = monomial_basis(self.nvars, self.degree + 1)
-            exps = self.exponents()
-            cached = np.empty(self.size, np.int64)
-            for j in range(self.size):
-                e = exps[j].copy()
-                e[var] += 1
-                cached[j] = target.rank(e)
-            cached.flags.writeable = False
-            self._mult_maps[var] = cached
-        return cached
-
-    def power_map(self, var: int, u: int) -> np.ndarray:
-        """Index map for multiplication by `var` raised to the power u."""
-        var = int(var)
         u = int(u)
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
         if u < 0:
             raise ValueError("power must be nonnegative")
-        key = (var, u)
-        cached = self._power_maps.get(key)
-        if cached is None:
+        maps = self._maps.get(u)
+        if maps is None:
+            shift = u * np.eye(self.nvars, dtype=np.int64)
+            shifted = self.exponents()[None, :, :] + shift[:, None, :]
             target = monomial_basis(self.nvars, self.degree + u)
-            exps = self.exponents()
-            cached = np.empty(self.size, np.int64)
-            for j in range(self.size):
-                e = exps[j].copy()
-                e[var] += u
-                cached[j] = target.rank(e)
-            cached.flags.writeable = False
-            self._power_maps[key] = cached
-        return cached
+            maps = target.index(shifted.reshape(-1, self.nvars)).reshape(self.nvars, self.size)
+            maps.flags.writeable = False
+            self._maps[u] = maps
+        return maps
 
     def __repr__(self) -> str:
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={self.size})"
@@ -203,9 +199,6 @@ class LinearForm:
     @property
     def nvars(self) -> int:
         return self.coeffs.shape[0]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     def as_poly(self) -> PolyVector:
         return PolyVector(self.field, self.nvars, 1, self.coeffs)
@@ -241,15 +234,8 @@ class PolyVector:
         self.coeffs = arr
 
     @classmethod
-    def zero(cls, field: PrimeField, nvars: int, degree: int) -> PolyVector:
-        return cls(field, nvars, degree, np.zeros(monomial_basis(nvars, degree).size, np.int64))
-
-    @classmethod
     def one(cls, field: PrimeField, nvars: int) -> PolyVector:
         return cls(field, nvars, 0, np.ones(1, np.int64))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyVector):
@@ -301,10 +287,10 @@ def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:
     if f.nvars != form.nvars:
         raise ValueError("operands use different variable counts")
     p = field.p
-    basis = monomial_basis(f.nvars, f.degree)
+    maps = monomial_basis(f.nvars, f.degree).power_maps(1)
     out = np.zeros(monomial_basis(f.nvars, f.degree + 1).size, np.int64)
     for v in np.nonzero(form.coeffs)[0]:
-        idx = basis.mult_map(int(v))
+        idx = maps[v]
         out[idx] = (out[idx] + int(form.coeffs[v]) * f.coeffs) % p
     return PolyVector(field, f.nvars, f.degree + 1, out)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from coldec import LinearCode, MatrixGF, PrimeField
+from coldec import LinearCode, PrimeField
+from coldec.kernels import rank_of_rows
 
 # A [6,3] binary code with minimum distance 3 and a received word one flip
 # away from a codeword; every hand-checked value in the tests refers to it.
@@ -52,7 +53,7 @@ def random_code(rng: np.random.Generator, p: int, k: int, n: int) -> LinearCode:
         G = rng.integers(0, p, size=(k, n))
         if np.any(np.all(G == 0, axis=0)):
             continue
-        if MatrixGF(field, G).rank() < k:
+        if rank_of_rows(G, p) < k:
             continue
         return LinearCode(field, G)
 

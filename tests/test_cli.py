@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -164,12 +165,6 @@ def test_check_reg_hypotheses_not_met(demo_files, tmp_path, capsys):
     assert "hypotheses=not_met" in out
 
 
-def test_field_check_flag(demo_files, capsys):
-    code, _ = demo_files
-    rc, out, _ = run(capsys, "--field-check", "mindist", code)
-    assert rc == 0 and out.strip() == "n=6 k=3 d=3"
-
-
 def test_oracle_threshold_flag(demo_files, capsys):
     code, _ = demo_files
     rc, _, err = run(capsys, "--oracle-threshold", "4", "mindist", "--oracle", code)
@@ -231,3 +226,54 @@ def test_simulate_csv_file(capsys, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "trial,d_w,status,correct,micros"
     assert len(lines) == 11
+
+
+# The decode JSON and the simulate output are byte-stable: for the worked
+# example and a fixed [7,3,3] GF(3) code they must equal these texts once
+# the timing fields (elapsed_ms, mean_decode_us, micros) are blanked.
+GOLDEN_DECODE = (
+    '{"status": "corrected", "p": 2, "n": 6, "k": 3, "d": 3, "d_w": 1, '
+    '"colon_power": 1, "error": [0, 0, 0, 0, 1, 0], "nearest": [0, 1, 1, 1, 1, 0], '
+    '"message": [0, 1, 1], "point": [0, 1, 1, 1], "elapsed_ms": _}\n'
+)
+GOLDEN_DECODE_ORACLE = GOLDEN_DECODE.replace("_}", '_, "oracle_agrees": true}')
+
+GF3_CODE_TEXT = "3 3 7\n2 2 1 2 0 1 2\n0 0 0 1 2 0 1\n1 2 0 1 0 0 2\n"
+GOLDEN_SIMULATE = """\
+trials=12 successes=0 ambiguous=2 uncorrectable=2 mean_decode_us=_
+trial,d_w,status,correct,micros
+0,,uncorrectable,false,_
+1,1,corrected,false,_
+2,2,corrected,false,_
+3,2,corrected,false,_
+4,2,ambiguous,false,_
+5,1,corrected,false,_
+6,2,corrected,false,_
+7,2,corrected,false,_
+8,2,corrected,false,_
+9,,uncorrectable,false,_
+10,2,corrected,false,_
+11,2,ambiguous,false,_
+"""
+
+
+def without_timing(text):
+    text = re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": _', text)
+    text = re.sub(r"mean_decode_us=[0-9.]+", "mean_decode_us=_", text)
+    return re.sub(r"(?m)^([0-9]+,[0-9]*,[a-z_]+,(?:true|false)),[0-9]+$", r"\1,_", text)
+
+
+def test_decode_json_is_byte_stable(demo_files, capsys):
+    code, word = demo_files
+    rc, out, _ = run(capsys, "decode", code, word)
+    assert rc == 0 and without_timing(out) == GOLDEN_DECODE
+    rc, out, _ = run(capsys, "decode", "--oracle", code, word)
+    assert rc == 0 and without_timing(out) == GOLDEN_DECODE_ORACLE
+
+
+def test_simulate_output_is_byte_stable(tmp_path, capsys):
+    code = tmp_path / "gf3.code"
+    code.write_text(GF3_CODE_TEXT)
+    argv = ["simulate", "--trials", "12", "--errors", "3", "--seed", "5", str(code)]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and without_timing(out) == GOLDEN_SIMULATE

@@ -7,7 +7,6 @@ from coldec import (
     LinearCode,
     OracleThresholdError,
     PrimeField,
-    coset_weight,
     count_at_distance,
     enumerate_min_distance,
     nearest_neighbors,
@@ -47,7 +46,7 @@ def test_nearest_neighbors_demo(demo_code, demo_word):
     assert d_w == 1
     assert vectors.shape == (1, 6)
     assert vectors[0].tolist() == [0, 1, 1, 1, 1, 0]
-    assert coset_weight(demo_code, demo_word) == 1
+    assert nearest_neighbors(demo_code, demo_word)[0] == 1
 
 
 def test_nearest_neighbors_of_codeword(demo_code):
@@ -123,7 +122,7 @@ def test_oracle_identities_randomized():
         assert projective_min_weight_count(C) == dist.counts[min(dist.counts)]
         w = rng.integers(0, p, size=n)
         d_w, vectors = nearest_neighbors(C, w)
-        assert d_w == coset_weight(C, w)
+        assert d_w == nearest_neighbors(C, w)[0]
         assert count_at_distance(C, w, d_w) == vectors.shape[0]
         for v in vectors:
             assert ((w - v) % p != 0).sum() == d_w

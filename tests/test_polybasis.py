@@ -95,9 +95,10 @@ def test_rank_unrank_bijection(nvars, degree):
 def test_mult_map_is_multiplication_by_variable():
     basis = monomial_basis(3, 2)
     up = monomial_basis(3, 3)
+    maps = basis.power_maps(1)
+    assert maps.shape == (3, basis.size)
     for var in range(3):
-        idx = basis.mult_map(var)
-        assert idx.shape == (basis.size,)
+        idx = maps[var]
         for i in range(basis.size):
             e = list(basis.unrank(i))
             e[var] += 1
@@ -107,9 +108,42 @@ def test_mult_map_is_multiplication_by_variable():
 
 def test_power_map_shifts_by_u():
     basis = monomial_basis(2, 1)
-    idx = basis.power_map(1, 3)  # multiply by y^3, degree 1 -> 4
+    idx = basis.power_maps(3)[1]  # multiply by y^3, degree 1 -> 4
     up = monomial_basis(2, 4)
     assert [up.rank((1, 3)), up.rank((0, 4))] == idx.tolist()
+
+
+def test_index_and_power_maps_agree_with_unrank():
+    # unrank is the loop reference; index and the maps share one closed form
+    positions = {}
+
+    def position(nvars, degree):
+        if (nvars, degree) not in positions:
+            basis = monomial_basis(nvars, degree)
+            positions[nvars, degree] = {basis.unrank(j): j for j in range(basis.size)}
+        return positions[nvars, degree]
+
+    for nvars in range(1, 9):
+        for degree in range(7):
+            basis = monomial_basis(nvars, degree)
+            exps = basis.exponents()
+            assert basis.index(exps).tolist() == list(range(basis.size))
+            for u in range(1, 4):
+                maps = basis.power_maps(u)
+                assert maps.shape == (nvars, basis.size) and not maps.flags.writeable
+                up = position(nvars, degree + u)
+                for v in range(nvars):
+                    shifted = exps.copy()
+                    shifted[:, v] += u
+                    assert maps[v].tolist() == [up[tuple(e)] for e in shifted.tolist()]
+    with pytest.raises(ValueError):
+        monomial_basis(2, 1).power_maps(-1)
+    with pytest.raises(ValueError):
+        monomial_basis(2, 2).index([[2, 0], [1, 0]])  # second row has degree 1
+    with pytest.raises(ValueError):
+        monomial_basis(2, 2).index([[3, -1]])
+    with pytest.raises(ValueError):
+        monomial_basis(2, 2).index([[1, 1, 0], [0, 1, 1]])  # three variables
 
 
 def poly_from_terms(field, nvars, degree, terms):
@@ -184,8 +218,8 @@ def test_polyvector_validates_length():
 
 def test_zero_and_one():
     F = PrimeField(3)
-    z = PolyVector.zero(F, 2, 2)
-    assert z.is_zero()
+    z = PolyVector(F, 2, 2, np.zeros(3, np.int64))
+    assert not z.coeffs.any()
     one = PolyVector.one(F, 2)
-    assert one.degree == 0 and not one.is_zero()
-    assert LinearForm(F, [0, 0]).is_zero()
+    assert one.degree == 0 and one.coeffs.any()
+    assert not LinearForm(F, [0, 0]).coeffs.any()
