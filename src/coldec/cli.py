@@ -4,7 +4,8 @@ Subcommands: mindist, decode, count-min, count-diff, check-reg, simulate.
 Exit codes: 0 for success (including in_code/corrected decodes), 1 for a
 failed cross-check or identity, 2 for an ambiguous decode, 3 for an
 uncorrectable word, 4 for invalid input (bad files, bad arguments, oracle
-threshold exceeded).
+threshold exceeded), 5 for an internal failure (a decoder invariant or a
+computation limit).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import fileio, ideals, oracle
 from .code import LinearCode
-from .decoder import DecodeStatus, decode
+from .decoder import DecodeStatus, classify, decode
 from .ideals import build_ideal, colon_degree, colon_linear_piece, ideal_degree, min_distance
 from .oracle import OracleThresholdError
 from .simrng import trial_rng
@@ -192,17 +193,10 @@ def _cmd_count_diff(args) -> int:
 def _cmd_check_reg(args) -> int:
     C = fileio.load_code(args.code)
     w = fileio.load_word(args.word, C)
-    inside, _ = C.contains(w)
-    d = min_distance(C)
-    if inside:
-        print(f"hypotheses=not_met d={d} d_w=0")
-        return 0
-    Cw = C.augment(w)
-    d_star = min_distance(Cw)
-    if d_star >= d:
+    d, _, Cw, d_w = classify(C, w)
+    if d_w is None:
         print(f"hypotheses=not_met d={d} d_w>={d}")
         return 0
-    d_w = d_star
     if not (d >= 3 and 1 <= d_w <= (d - 1) // 2):
         print(f"hypotheses=not_met d={d} d_w={d_w}")
         return 0
@@ -292,6 +286,9 @@ def main(argv=None) -> int:
     except (_CliError, OracleThresholdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except RuntimeError as exc:  # after the clause above: OracleThresholdError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 def entry():  # console-script wrapper

@@ -19,8 +19,6 @@ import numpy as np
 from . import oracle
 from .code import Codeword, LinearCode, weight
 from .ideals import (
-    IdealPiece,
-    NotSinglePointError,
     ProjectivePoint,
     build_ideal,
     colon_linear_piece,
@@ -29,7 +27,7 @@ from .ideals import (
     point_from_forms,
 )
 
-__all__ = ["DecodeStatus", "DecodeResult", "decode", "nearest_neighbor_count"]
+__all__ = ["DecodeStatus", "DecodeResult", "classify", "decode", "nearest_neighbor_count"]
 
 
 class DecodeStatus(str, Enum):
@@ -71,36 +69,21 @@ def _validated_word(C: LinearCode, w) -> np.ndarray:
     return arr % C.field.p
 
 
-def _extract_point(I: IdealPiece, d_w: int, k: int, colon_power: int | None):
-    """Colon the product ideal down to a single point.
+def classify(C: LinearCode, w: np.ndarray):
+    """Coset classification of a validated word: (d, message, C^w, d_w).
 
-    The exponent starts at d_w and, when no explicit power is given,
-    escalates until the linear piece of the colon reaches dimension k
-    (the saturation's linear piece once the power is large enough). An
-    explicit power is used exactly as given.
+    A codeword gives its message, d_w = 0 and no augmented code. Otherwise
+    the message is None, C^w is the code augmented by w, and d_w is the
+    minimum distance of C^w, or None when that reaches d (the coset weight
+    is then d or more).
     """
-    t_var = I.nvars - 1
-    u = d_w if colon_power is None else int(colon_power)
-    cap = d_w + I.nvars + 4
-    while True:
-        space = colon_linear_piece(I, t_var, u)
-        if space.dim == k:
-            return point_from_forms(space), u, space
-        if colon_power is not None:
-            raise NotSinglePointError(
-                f"colon power {u} leaves a form space of dimension {space.dim}, expected {k}"
-            )
-        if space.dim > k:
-            raise RuntimeError(
-                "colon linear piece exceeds the point ideal's dimension; "
-                "the unique-neighbor hypothesis is violated"
-            )
-        u += 1
-        if u > cap:
-            raise RuntimeError(
-                f"colon power escalation did not stabilize by {cap}; "
-                "the unique-neighbor hypothesis is violated"
-            )
+    d = min_distance(C)
+    inside, msg = C.contains(w)
+    if inside:
+        return d, msg, None, 0
+    Cw = C.augment(w)
+    d_w = min_distance(Cw)
+    return d, None, Cw, (d_w if d_w < d else None)
 
 
 def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
@@ -112,12 +95,15 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     degree-1 product ideal beyond it) yields corrected with the exact
     error vector. Degree > 1 is ambiguous (count reported, no extraction);
     coset weight d or larger is uncorrectable.
+
+    Extraction takes one colon of the product ideal by T^u, at the
+    smallest power u = d_w unless `colon_power` gives u explicitly; its
+    linear piece must have dimension k, the point ideal's.
     """
     w = _validated_word(C, w)
     p = C.field.p
-    d = min_distance(C)
-    inside, msg = C.contains(w)
-    if inside:
+    d, msg, Cw, d_w = classify(C, w)
+    if msg is not None:
         return DecodeResult(
             status=DecodeStatus.IN_CODE,
             d=d,
@@ -126,20 +112,23 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
             nearest=Codeword(v=w.copy(), message=msg),
             message=msg,
         )
-    Cw = C.augment(w)
-    d_star = min_distance(Cw)
-    if d_star >= d:
+    if d_w is None:
         return DecodeResult(status=DecodeStatus.UNCORRECTABLE, d=d)
-    d_w = d_star
     I = build_ideal(Cw, d_w + 1)
-    colon_used = None
     if d_w > (d - 1) // 2:
         count = ideal_degree(I)
         if count > 1:
             return DecodeResult(
                 status=DecodeStatus.AMBIGUOUS, d=d, d_w=d_w, neighbor_count=count
             )
-    point, colon_used, _ = _extract_point(I, d_w, C.k, colon_power)
+    u = d_w if colon_power is None else int(colon_power)
+    space = colon_linear_piece(I, C.k, u)
+    if space.dim != C.k:
+        raise RuntimeError(
+            f"colon power {u} leaves a form space of dimension {space.dim}, "
+            f"expected {C.k}; the unique-neighbor hypothesis is violated"
+        )
+    point = point_from_forms(space)
     if int(point.coords[C.k]) == 0:
         raise RuntimeError(
             "extracted point does not use the appended row; "
@@ -163,7 +152,7 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
         nearest=Codeword(v=nearest_v, message=message),
         message=message,
         point=point,
-        colon_power=colon_used,
+        colon_power=u,
     )
 
 
@@ -178,13 +167,10 @@ def nearest_neighbor_count(
     the oracle threshold.
     """
     w = _validated_word(C, w)
-    inside, _ = C.contains(w)
-    if inside:
+    _, msg, Cw, d_w = classify(C, w)
+    if msg is not None:
         raise ValueError("the word is already a codeword")
-    d = min_distance(C)
-    Cw = C.augment(w)
-    d_star = min_distance(Cw)
-    if d_star < d:
-        return ideal_degree(build_ideal(Cw, d_star + 1))
+    if d_w is not None:
+        return ideal_degree(build_ideal(Cw, d_w + 1))
     _, vectors = oracle.nearest_neighbors(C, w, threshold)
     return int(vectors.shape[0])

@@ -51,7 +51,6 @@ __all__ = [
     "ProjectivePoint",
     "IdealPiece",
     "build_ideal",
-    "graded_piece_rank",
     "min_distance",
     "colon_linear_piece",
     "point_from_forms",
@@ -244,11 +243,6 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     for i, row in enumerate(_iter_product_rows(C.field, forms, s)):
         rows[i] = row
     return IdealPiece(C.field, C.k, s, rows)
-
-
-def graded_piece_rank(ideal: IdealPiece, m: int) -> int:
-    """Dimension of the degree-m graded piece of the ideal."""
-    return ideal.piece(m)[1]
 
 
 def min_distance(C: "LinearCode") -> int:

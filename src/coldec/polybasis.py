@@ -29,7 +29,6 @@ __all__ = [
     "monomial_basis",
     "LinearForm",
     "PolyVector",
-    "multiply",
     "multiply_by_form",
     "product_of_linear_forms",
 ]
@@ -260,25 +259,6 @@ def _common_field(a, b) -> PrimeField:
     if a.field != b.field:
         raise FieldMismatchError("operands live over different fields")
     return a.field
-
-
-def multiply(f: PolyVector, g: PolyVector) -> PolyVector:
-    """Product of two homogeneous polynomials (degrees add)."""
-    field = _common_field(f, g)
-    if f.nvars != g.nvars:
-        raise ValueError("operands use different variable counts")
-    p = field.p
-    out_basis = monomial_basis(f.nvars, f.degree + g.degree)
-    bf = monomial_basis(f.nvars, f.degree).exponents()
-    bg = monomial_basis(g.nvars, g.degree).exponents()
-    out = np.zeros(out_basis.size, np.int64)
-    for i in np.nonzero(f.coeffs)[0]:
-        ci = int(f.coeffs[i])
-        ei = bf[i]
-        for j in np.nonzero(g.coeffs)[0]:
-            r = out_basis.rank(ei + bg[j])
-            out[r] = (out[r] + ci * int(g.coeffs[j])) % p
-    return PolyVector(field, f.nvars, f.degree + g.degree, out)
 
 
 def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:

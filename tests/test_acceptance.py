@@ -14,28 +14,24 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from coldec import (
-    LinearCode,
-    PrimeField,
+from coldec import LinearCode, PrimeField, decode, kernels, min_distance
+from coldec.cli import main as cli_main
+from coldec.decoder import DecodeStatus, nearest_neighbor_count
+from coldec.ideals import (
     build_ideal,
     colon_degree,
     colon_linear_piece,
-    count_at_distance,
-    decode,
-    enumerate_min_distance,
-    graded_piece_rank,
     ideal_degree,
-    kernels,
-    min_distance,
-    nearest_neighbor_count,
-    nearest_neighbors,
     point_from_forms,
-    projective_words_of_weight,
     verify_power_containment,
     verify_saturation_identity,
 )
-from coldec.cli import main as cli_main
-from coldec.decoder import DecodeStatus
+from coldec.oracle import (
+    count_at_distance,
+    enumerate_min_distance,
+    nearest_neighbors,
+    projective_words_of_weight,
+)
 from coldec.polybasis import checked_binomial
 from conftest import DEMO_G, DEMO_W, random_small_code
 
@@ -248,7 +244,7 @@ def test_acceptance_7_full_rank_pieces_below_distance(acceptance):
                 I = build_ideal(C, i)
                 assert I.gens.rows == checked_binomial(C.n, i, "acceptance")
                 expect = checked_binomial(C.k + i - 1, i, "acceptance")
-                assert graded_piece_rank(I, i) == expect, (C.G.a.tolist(), i)
+                assert I.piece(i)[1] == expect, (C.G.a.tolist(), i)
                 pieces += 1
         info["note"] = f"100 codes, {pieces} graded pieces exact"
 

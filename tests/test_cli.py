@@ -165,6 +165,33 @@ def test_check_reg_hypotheses_not_met(demo_files, tmp_path, capsys):
     assert "hypotheses=not_met" in out
 
 
+@pytest.mark.parametrize(
+    "code_text,word_text,line",
+    [
+        (DEMO_CODE_TEXT, "1 1 1 0 0 0\n", "hypotheses=not_met d=3 d_w=0"),  # a codeword
+        ("2 2 4\n1 1 0 0\n0 0 1 1\n", "1 0 1 0\n", "hypotheses=not_met d=2 d_w>=2"),
+    ],
+    ids=["in_code", "uncorrectable"],
+)
+def test_check_reg_outside_the_decoding_range(tmp_path, capsys, code_text, word_text, line):
+    code, word = tmp_path / "c.code", tmp_path / "c.word"
+    code.write_text(code_text)
+    word.write_text(word_text)
+    rc, out, _ = run(capsys, "check-reg", str(code), str(word))
+    assert rc == 0
+    assert out == line + "\n"
+
+
+def test_internal_failure_exits_5_without_traceback(demo_files, capsys):
+    code, word = demo_files
+    # Piece 1201 is built from piece 1200 down to the generating degree,
+    # deeper than the interpreter's recursion limit.
+    rc, out, err = run(capsys, "decode", "--colon-power", "1200", code, word)
+    assert rc == 5
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_oracle_threshold_flag(demo_files, capsys):
     code, _ = demo_files
     rc, _, err = run(capsys, "--oracle-threshold", "4", "mindist", "--oracle", code)

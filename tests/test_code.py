@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from coldec import (
-    AlreadyCodewordError,
-    Codeword,
-    LinearCode,
-    PrimeField,
-    min_distance,
-    weight,
-)
+from coldec import LinearCode, PrimeField, min_distance
+from coldec.code import AlreadyCodewordError, Codeword, weight
 from conftest import DEMO_W, random_code
 
 

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from coldec import (
-    DecodeStatus,
-    LinearCode,
-    PrimeField,
-    decode,
-    nearest_neighbor_count,
-    nearest_neighbors,
-)
+from coldec import DecodeStatus, LinearCode, PrimeField, decode
+from coldec.decoder import nearest_neighbor_count
+from coldec.oracle import nearest_neighbors
 from conftest import random_code
 
 
@@ -145,6 +140,7 @@ def test_decode_matches_oracle_randomized():
             assert d_w == 0
         elif res.status is DecodeStatus.CORRECTED:
             assert res.d_w == d_w == ((w - res.nearest.v) % p != 0).sum()
+            assert res.colon_power == res.d_w  # one colon, at the smallest power
             assert vectors.shape[0] == 1
             assert vectors[0].tolist() == res.nearest.v.tolist()
         elif res.status is DecodeStatus.AMBIGUOUS:

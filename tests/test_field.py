@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec import PrimeField, is_prime
+from coldec.field import PrimeField, is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13, 251, 65521]
 

@@ -4,27 +4,24 @@ saturation identity, and the rank criterion for minimum distance."""
 import numpy as np
 import pytest
 
-from coldec import (
+from coldec import LinearCode, PrimeField, min_distance
+from coldec.ideals import (
     IdealPiece,
-    LinearCode,
     LinearFormSpace,
-    MatrixGF,
     NotSinglePointError,
-    PrimeField,
     ProjectivePoint,
     StabilizationError,
     build_ideal,
     colon_degree,
     colon_linear_piece,
-    enumerate_min_distance,
-    graded_piece_rank,
     hilbert_function,
     ideal_degree,
-    min_distance,
     point_from_forms,
     verify_power_containment,
     verify_saturation_identity,
 )
+from coldec.linalg import MatrixGF
+from coldec.oracle import enumerate_min_distance
 from coldec.polybasis import checked_binomial
 from conftest import random_code
 
@@ -81,10 +78,10 @@ class TestIdealPiece:
     def test_graded_pieces_grow_consistently(self, demo_ideal):
         assert demo_ideal.gen_degree == 2
         assert demo_ideal.gens.rows == 15  # all pairs from six columns
-        assert graded_piece_rank(demo_ideal, 2) == 9
-        assert graded_piece_rank(demo_ideal, 3) == 19
+        assert demo_ideal.piece(2)[1] == 9
+        assert demo_ideal.piece(3)[1] == 19
         with pytest.raises(ValueError):
-            graded_piece_rank(demo_ideal, 1)
+            demo_ideal.piece(1)
 
 
 def test_build_ideal_validates_s(demo_code):
@@ -148,7 +145,7 @@ def test_full_rank_pieces_below_min_distance(demo_code):
     k, d = demo_code.k, min_distance(demo_code)
     for i in range(1, d + 1):
         expect = checked_binomial(k + i - 1, i, "test")
-        assert graded_piece_rank(build_ideal(demo_code, i), i) == expect
+        assert build_ideal(demo_code, i).piece(i)[1] == expect
 
 
 def test_colon_degree_small_examples():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec import FieldMismatchError, MatrixGF, PrimeField, preimage_of_colspace, solve
+from coldec.field import FieldMismatchError, PrimeField
 from coldec.kernels import rank_of_rows, rref_array
+from coldec.linalg import MatrixGF, preimage_of_colspace, solve
 
 
 def M(p, rows):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from coldec import (
-    LinearCode,
+from coldec import LinearCode, PrimeField
+from coldec.oracle import (
     OracleThresholdError,
-    PrimeField,
     count_at_distance,
     enumerate_min_distance,
     nearest_neighbors,
