@@ -5,7 +5,7 @@ Exit codes: 0 for success (including in_code/corrected decodes), 1 for a
 failed cross-check or identity, 2 for an ambiguous decode, 3 for an
 uncorrectable word, 4 for invalid input (bad files, bad arguments, oracle
 threshold exceeded), 5 for an internal failure (a decoder invariant or a
-computation limit).
+computation limit, such as a graded piece too large to allocate or index).
 """
 
 from __future__ import annotations
@@ -286,8 +286,11 @@ def main(argv=None) -> int:
     except (_CliError, OracleThresholdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except RuntimeError as exc:  # after the clause above: OracleThresholdError is one
-        print(f"error: {exc}", file=sys.stderr)
+    # After the clause above: OracleThresholdError is a RuntimeError.
+    # MemoryError and OverflowError (BinomialOverflowError) are graded
+    # pieces too large to build.
+    except (RuntimeError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 5
 
 

@@ -76,13 +76,18 @@ def classify(C: LinearCode, w: np.ndarray):
     the message is None, C^w is the code augmented by w, and d_w is the
     minimum distance of C^w, or None when that reaches d (the coset weight
     is then d or more).
+
+    C is a subcode of C^w, so d(C^w) <= d, and only whether it falls below
+    d matters: the scan of C^w stops at level d and never builds the
+    products of level d+1.
     """
     d = min_distance(C)
     inside, msg = C.contains(w)
     if inside:
         return d, msg, None, 0
     Cw = C.augment(w)
-    d_w = min_distance(Cw)
+    # d = 0 (an all-zero coordinate) leaves no d_w below d; cap 1 suffices.
+    d_w = min_distance(Cw, cap=max(d, 1))
     return d, None, Cw, (d_w if d_w < d else None)
 
 

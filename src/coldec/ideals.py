@@ -245,17 +245,24 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     return IdealPiece(C.field, C.k, s, rows)
 
 
-def min_distance(C: "LinearCode") -> int:
+def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     """Minimum distance of a code, by graded ranks of column-form products.
 
     The distance is the largest s for which the products of s distinct
     column forms span the whole degree-s space; s is probed upward with
-    early exit as soon as a piece fills up. The value is cached on the
-    code. A code with an all-zero coordinate has no nonzero-weight
-    guarantee at all; that degenerate case reports 0 with a warning.
+    early exit as soon as a piece fills up. A code with an all-zero
+    coordinate has no nonzero-weight guarantee at all; that degenerate case
+    reports 0 with a warning.
+
+    With a `cap` (at least 1) the scan also returns once level `cap` is
+    full, so the result is min(d, cap) and no level above `cap` is built.
+    The value is cached on the code only when it is the exact distance:
+    a level at or below the cap that is not full, or the zero-column case.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"distance cap must be at least 1, got {cap}")
     if C._dmin is not None:
-        return C._dmin
+        return C._dmin if cap is None else min(C._dmin, cap)
     if not C.G.a.any(axis=0).all():
         warnings.warn(
             "generator matrix has an all-zero column; reporting minimum distance 0",
@@ -283,6 +290,8 @@ def min_distance(C: "LinearCode") -> int:
         if not reached:
             C._dmin = s - 1
             return C._dmin
+        if s == cap:  # d >= cap; the exact value is not known, so not cached
+            return s
         s += 1
         if s > C.n + 1:  # unreachable: products of more than n factors cannot span
             raise RuntimeError("minimum-distance scan failed to terminate")

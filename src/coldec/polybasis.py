@@ -262,16 +262,18 @@ def _common_field(a, b) -> PrimeField:
 
 
 def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:
-    """Product with a linear form through the cached variable maps."""
+    """Product with a linear form through the cached variable maps.
+
+    Each map is injective, so the sums are accumulated unreduced (at most
+    nvars * (p-1)**2 per entry) and reduced mod p once, by PolyVector.
+    """
     field = _common_field(f, form)
     if f.nvars != form.nvars:
         raise ValueError("operands use different variable counts")
-    p = field.p
     maps = monomial_basis(f.nvars, f.degree).power_maps(1)
     out = np.zeros(monomial_basis(f.nvars, f.degree + 1).size, np.int64)
     for v in np.nonzero(form.coeffs)[0]:
-        idx = maps[v]
-        out[idx] = (out[idx] + int(form.coeffs[v]) * f.coeffs) % p
+        out[maps[v]] += int(form.coeffs[v]) * f.coeffs
     return PolyVector(field, f.nvars, f.degree + 1, out)
 
 

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from coldec import cli
 from coldec.cli import main
+from coldec.polybasis import BinomialOverflowError
 from conftest import DEMO_G, DEMO_W
 
 DEMO_CODE_TEXT = "2 3 6\n" + "\n".join(" ".join(map(str, row)) for row in DEMO_G) + "\n"
@@ -190,6 +192,29 @@ def test_internal_failure_exits_5_without_traceback(demo_files, capsys):
     assert rc == 5
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        MemoryError("Unable to allocate 45.0 GiB for an array"),
+        MemoryError(),
+        BinomialOverflowError("C(100,50) exceeds 64-bit indexing"),
+    ],
+    ids=["memory", "memory_no_message", "binomial_overflow"],
+)
+def test_memory_and_overflow_exit_5_without_traceback(demo_files, capsys, monkeypatch, exc):
+    # a piece too large to build, raised without allocating anything
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "decode", too_large)
+    code, word = demo_files
+    rc, out, err = run(capsys, "decode", code, word)
+    assert rc == 5
+    assert out == ""
+    assert err.startswith("error: ") and err.strip() != "error:"
+    assert "Traceback" not in err
 
 
 def test_oracle_threshold_flag(demo_files, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coldec import DecodeStatus, LinearCode, PrimeField, decode
+from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, min_distance
 from coldec.decoder import nearest_neighbor_count
 from coldec.oracle import nearest_neighbors
 from conftest import random_code
@@ -65,6 +65,24 @@ def test_uncorrectable_word():
     res = decode(C, [1, 0, 0])
     assert res.status is DecodeStatus.UNCORRECTABLE
     assert res.d == 1
+
+
+def test_uncorrectable_scan_stops_at_level_d(monkeypatch):
+    # [4,2,2] code 0000, 1010, 0101, 1111: 1100 is at distance 2 from each,
+    # so C^w has distance d = 2 and its level 3 cannot change the answer
+    C = LinearCode(PrimeField(2), [[1, 0, 1, 0], [0, 1, 0, 1]])
+    assert min_distance(C) == 2  # C's own scan ends at level d+1; cache it
+    degrees = []
+    real = ideals._iter_product_rows
+
+    def recording(field, forms, s):
+        degrees.append(s)
+        return real(field, forms, s)
+
+    monkeypatch.setattr(ideals, "_iter_product_rows", recording)
+    res = decode(C, [1, 1, 0, 0])
+    assert res.status is DecodeStatus.UNCORRECTABLE and res.d == 2
+    assert degrees == [1, 2]
 
 
 def test_beyond_radius_unique_neighbor_still_corrected():

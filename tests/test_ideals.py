@@ -140,6 +140,40 @@ def test_min_distance_matches_oracle_randomized():
         assert min_distance(C) == enumerate_min_distance(C)
 
 
+def test_capped_min_distance_is_min_of_distance_and_cap():
+    rng = np.random.default_rng(101)
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(k + 1, 9))
+            C = random_code(rng, p, k, n)
+            d = enumerate_min_distance(C)
+            for cap in range(1, n + 1):
+                fresh = LinearCode(C.field, C.G.a)
+                assert min_distance(fresh, cap=cap) == min(d, cap)
+                assert fresh._dmin in (None, d)
+            assert min_distance(C) == d
+            assert [min_distance(C, cap=c) for c in range(1, n + 1)] == [
+                min(d, c) for c in range(1, n + 1)
+            ]
+
+
+def test_capped_stop_on_a_full_level_caches_nothing(demo_code):
+    C = LinearCode(demo_code.field, demo_code.G.a)  # d = 3
+    assert min_distance(C, cap=2) == 2
+    assert C._dmin is None
+    assert min_distance(C, cap=3) == 3
+    assert C._dmin is None
+    assert min_distance(C) == enumerate_min_distance(C) == 3
+    assert C._dmin == 3
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_min_distance_cap_below_one_rejected(demo_code, cap):
+    with pytest.raises(ValueError, match="cap"):
+        min_distance(demo_code, cap=cap)
+
+
 def test_full_rank_pieces_below_min_distance(demo_code):
     # i-fold products are linearly independent in degree i for i up to d
     k, d = demo_code.k, min_distance(demo_code)
