@@ -3,8 +3,9 @@
 A received word is corrected by realizing its error as a minimum-weight
 codeword of the augmented code and extracting that codeword from the
 colon of an ideal of products of linear forms. Every step is exact
-arithmetic over GF(p): ranks of graded coefficient matrices, Hilbert
-function stabilization, and one column-space preimage.
+arithmetic over GF(p): ranks of graded coefficient matrices, a Hilbert
+function value read at the generating degree, and one column-space
+preimage.
 
 The package exports the decoding API; the layers under it are importable
 from their modules (`coldec.ideals`, `coldec.oracle`, `coldec.polybasis`,

@@ -112,6 +112,8 @@ def _cmd_mindist(args) -> int:
 
 
 def _oracle_agrees(C: LinearCode, res, w, threshold: int) -> bool:
+    if res.d != oracle.enumerate_min_distance(C, threshold):
+        return False
     d_w, vectors = oracle.nearest_neighbors(C, w, threshold)
     if res.status is DecodeStatus.IN_CODE:
         return d_w == 0
@@ -145,8 +147,6 @@ def _cmd_decode(args) -> int:
 def _cmd_count_min(args) -> int:
     C = fileio.load_code(args.code)
     d = min_distance(C)
-    if d == 0:
-        raise _CliError("code has an all-zero coordinate; no minimum-weight count")
     count = ideal_degree(build_ideal(C, d + 1))
     line = f"d={d} count={count}"
     if args.oracle:
@@ -169,8 +169,6 @@ def _cmd_count_diff(args) -> int:
         raise _CliError(f"--row must be between 1 and {C.k}")
     j = args.row - 1
     d = min_distance(C)
-    if d == 0:
-        raise _CliError("code has an all-zero coordinate; counts are undefined")
     I = build_ideal(C, d + 1)
     alpha = ideal_degree(I)
     Cj = C.remove_row(j)

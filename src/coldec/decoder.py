@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import oracle
 from .code import Codeword, LinearCode, weight
 from .ideals import (
     ProjectivePoint,
@@ -27,7 +26,7 @@ from .ideals import (
     point_from_forms,
 )
 
-__all__ = ["DecodeStatus", "DecodeResult", "classify", "decode", "nearest_neighbor_count"]
+__all__ = ["DecodeStatus", "DecodeResult", "classify", "decode"]
 
 
 class DecodeStatus(str, Enum):
@@ -86,8 +85,7 @@ def classify(C: LinearCode, w: np.ndarray):
     if inside:
         return d, msg, None, 0
     Cw = C.augment(w)
-    # d = 0 (an all-zero coordinate) leaves no d_w below d; cap 1 suffices.
-    d_w = min_distance(Cw, cap=max(d, 1))
+    d_w = min_distance(Cw, cap=d)
     return d, None, Cw, (d_w if d_w < d else None)
 
 
@@ -160,22 +158,3 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
         colon_power=u,
     )
 
-
-def nearest_neighbor_count(
-    C: LinearCode, w, threshold: int = oracle.DEFAULT_THRESHOLD
-) -> int:
-    """Number of codewords at minimal distance from w (w itself excluded).
-
-    Words whose coset weight is below d are counted algebraically as the
-    degree of the product ideal of the augmented code; at coset weight d
-    or beyond the count falls back to exhaustive enumeration, subject to
-    the oracle threshold.
-    """
-    w = _validated_word(C, w)
-    _, msg, Cw, d_w = classify(C, w)
-    if msg is not None:
-        raise ValueError("the word is already a codeword")
-    if d_w is not None:
-        return ideal_degree(build_ideal(Cw, d_w + 1))
-    _, vectors = oracle.nearest_neighbors(C, w, threshold)
-    return int(vectors.shape[0])

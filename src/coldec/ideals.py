@@ -8,9 +8,10 @@ to ranks of such matrices:
 
 * the code's minimum distance is the largest s for which the degree-s
   products span the full degree-s space;
-* Hilbert function values are codimensions of graded pieces, and their
-  stabilized value is the degree (the projective zero set's point count,
-  with multiplicity);
+* Hilbert function values are codimensions of graded pieces; for an
+  ideal of products of linear forms with finitely many projective zeros,
+  the value at the generating degree is already the degree (the zero
+  set's point count, with multiplicity);
 * the colon of the ideal by a variable power, restricted to linear forms,
   is a column-space preimage problem, and for a uniquely decodable word it
   cuts out one projective point carrying the error.
@@ -24,7 +25,6 @@ degree, which makes that iteration exact.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,7 +63,7 @@ __all__ = [
 
 
 class StabilizationError(RuntimeError):
-    """A Hilbert function failed to stabilize below the scan cap."""
+    """A colon ideal's Hilbert function failed to stabilize below the scan cap."""
 
 
 class NotSinglePointError(ValueError):
@@ -202,10 +202,6 @@ class IdealPiece:
         )
 
 
-def _column_forms(C: "LinearCode") -> list[LinearForm]:
-    return [LinearForm(C.field, col) for col in C.G.a.T]
-
-
 def _iter_product_rows(field: PrimeField, forms: list[LinearForm], s: int):
     """Coefficient rows of all products of s distinct forms.
 
@@ -236,7 +232,7 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     s = int(s)
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
-    forms = _column_forms(C)
+    forms = [LinearForm(C.field, col) for col in C.G.a.T]
     count = checked_binomial(C.n, s, "generator count")
     size = monomial_basis(C.k, s).size
     rows = np.zeros((count, size), np.int64)
@@ -250,28 +246,21 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
 
     The distance is the largest s for which the products of s distinct
     column forms span the whole degree-s space; s is probed upward with
-    early exit as soon as a piece fills up. A code with an all-zero
-    coordinate has no nonzero-weight guarantee at all; that degenerate case
-    reports 0 with a warning.
+    early exit as soon as a piece fills up. Only nonzero columns are
+    scanned: a zero coordinate never carries weight, and every product
+    through its (zero) form vanishes.
 
     With a `cap` (at least 1) the scan also returns once level `cap` is
     full, so the result is min(d, cap) and no level above `cap` is built.
-    The value is cached on the code only when it is the exact distance:
-    a level at or below the cap that is not full, or the zero-column case.
+    The value is cached on the code only when it is the exact distance,
+    that is when a level at or below the cap is not full.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"distance cap must be at least 1, got {cap}")
     if C._dmin is not None:
         return C._dmin if cap is None else min(C._dmin, cap)
-    if not C.G.a.any(axis=0).all():
-        warnings.warn(
-            "generator matrix has an all-zero column; reporting minimum distance 0",
-            stacklevel=2,
-        )
-        C._dmin = 0
-        return 0
     p = C.field.p
-    forms = _column_forms(C)
+    forms = [LinearForm(C.field, col) for col in C.G.a[:, C.G.a.any(axis=0)].T]
     s = 1
     while True:
         target = monomial_basis(C.k, s).size
@@ -321,18 +310,19 @@ def _stabilized_value(values, cap_label: str):
 
 
 def ideal_degree(ideal: IdealPiece) -> int:
-    """Stabilized Hilbert function value: the degree of the zero scheme.
+    """Degree of the zero scheme, read off the generating piece: HF(g).
 
-    For the ideal of (d+1)-fold column-form products this counts the
-    projective minimum-weight codewords. Expects a zero set of projective
-    dimension at most 0; the scan is capped at gen_degree + nvars + 4 and
-    failing to stabilize by then raises StabilizationError.
+    Precondition: the ideal is generated by g-fold products of linear forms
+    and has finitely many projective zeros. Such an ideal has a linear free
+    resolution (Anzis, Garrousian, Tohaneanu, "Generalized star
+    configurations and the Tutte polynomial", J. Algebraic Combin. 2017),
+    so reg(S/I) = g - 1, and the Hilbert function equals the (constant)
+    Hilbert polynomial from degree reg(S/I) + 1 = g on. For the ideal of
+    (d+1)-fold column-form products this counts the projective
+    minimum-weight codewords. The precondition is not checked; an ideal
+    outside it gets HF(g), which is then not its degree.
     """
-    cap = ideal.gen_degree + ideal.nvars + 4
-    return _stabilized_value(
-        (hilbert_function(ideal, m) for m in range(ideal.gen_degree, cap + 1)),
-        str(cap),
-    )
+    return hilbert_function(ideal, ideal.gen_degree)
 
 
 def colon_degree(ideal: IdealPiece, var: int) -> int:
@@ -341,8 +331,11 @@ def colon_degree(ideal: IdealPiece, var: int) -> int:
     The degree-m piece of the colon is {f in S_m : f * x_var in I}; via the
     injective multiplication map its dimension equals rank (I)_{m+1} minus
     the rank of the piece projected onto the monomials not divisible by
-    x_var. The scan starts at gen_degree - 1 (the colon piece is zero
-    below) and is capped like ideal_degree.
+    x_var. The colon is not an ideal of products of linear forms, so its
+    Hilbert function is scanned until two consecutive values agree. The
+    scan starts at gen_degree - 1 (the colon piece is zero below), is
+    capped at gen_degree + nvars + 4, and raises StabilizationError when
+    it has not stabilized by then.
     """
     var = int(var)
     if not 0 <= var < ideal.nvars:

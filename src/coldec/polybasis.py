@@ -100,15 +100,6 @@ class MonomialBasis:
         remaining = self.degree - np.cumsum(e[:, :-1], axis=1)
         return table[np.arange(self.nvars - 1), remaining].sum(axis=1)
 
-    def rank(self, exponents) -> int:
-        """Position of an exponent vector within the basis."""
-        e = tuple(int(x) for x in exponents)
-        if len(e) != self.nvars or any(x < 0 for x in e):
-            raise ValueError(f"bad exponent vector {e} for {self.nvars} variables")
-        if sum(e) != self.degree:
-            raise ValueError(f"exponents {e} do not have total degree {self.degree}")
-        return int(self.index([e])[0])
-
     def unrank(self, index: int) -> tuple:
         """Exponent vector at a basis position."""
         i = int(index)

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import re
 
@@ -105,6 +106,52 @@ def test_decode_uncorrectable_exit_3(tmp_path, capsys):
     rc, out, _ = run(capsys, "decode", str(code), str(word))
     assert rc == 3
     assert json.loads(out)["status"] == "uncorrectable"
+
+
+def test_zero_coordinate_carries_no_weight(tmp_path, capsys):
+    # every codeword is zero in the last coordinate, so d = 2 and 0001 has
+    # the unique nearest codeword 0000 at distance 1
+    code = tmp_path / "z.code"
+    code.write_text("2 2 4\n1 0 1 0\n0 1 1 0\n")
+    word = tmp_path / "w.word"
+    word.write_text("0 0 0 1\n")
+    rc, out, _ = run(capsys, "decode", "--oracle", str(code), str(word))
+    assert rc == 0
+    data = json.loads(out)
+    assert data["status"] == "corrected" and data["d"] == 2
+    assert data["nearest"] == [0, 0, 0, 0]
+    assert data["oracle_agrees"] is True
+    rc, out, _ = run(capsys, "mindist", "--oracle", str(code))
+    assert rc == 0
+    assert out.strip() == "n=4 k=2 d=2 oracle_d=2 agree=true"
+
+
+@pytest.mark.parametrize(
+    "code_text,word_text,wrong_d",
+    [
+        (DEMO_CODE_TEXT, DEMO_WORD_TEXT, 2),
+        ("2 2 3\n1 1 0\n0 0 1\n", "1 0 0\n", 0),
+    ],
+    ids=["corrected", "uncorrectable"],
+)
+def test_decode_oracle_checks_the_distance(
+    tmp_path, capsys, monkeypatch, code_text, word_text, wrong_d
+):
+    # an answer that is right apart from its minimum distance must fail
+    real = cli.decode
+
+    def wrong_distance(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), d=wrong_d)
+
+    monkeypatch.setattr(cli, "decode", wrong_distance)
+    code = tmp_path / "c.code"
+    code.write_text(code_text)
+    word = tmp_path / "w.word"
+    word.write_text(word_text)
+    rc, out, err = run(capsys, "decode", "--oracle", str(code), str(word))
+    assert rc == 1
+    assert json.loads(out)["oracle_agrees"] is False
+    assert "cross-check failed" in err
 
 
 def test_malformed_inputs_exit_4(demo_files, tmp_path, capsys):

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, min_distance
-from coldec.decoder import nearest_neighbor_count
+from coldec.decoder import classify
+from coldec.ideals import build_ideal, ideal_degree
 from coldec.oracle import nearest_neighbors
 from conftest import random_code
+
+
+def neighbor_count(C, w):
+    """Nearest-codeword count of a word of coset weight d_w below d: the
+    degree of the augmented code's ideal of (d_w+1)-fold products."""
+    _, _, Cw, d_w = classify(C, np.asarray(w, np.int64))
+    return ideal_degree(build_ideal(Cw, d_w + 1))
 
 
 def test_demo_word_corrected(demo_code, demo_word):
@@ -171,24 +179,29 @@ def test_decode_matches_oracle_randomized():
 
 
 def test_nearest_neighbor_count_demo(demo_code, demo_word):
-    assert nearest_neighbor_count(demo_code, demo_word) == 1
+    assert neighbor_count(demo_code, demo_word) == 1
     # three-way tie, counted through the product ideal's degree
-    assert nearest_neighbor_count(demo_code, [1, 1, 0, 1, 0, 0]) == 3
-    with pytest.raises(ValueError):
-        nearest_neighbor_count(demo_code, [0, 0, 0, 0, 0, 0])
+    assert neighbor_count(demo_code, [1, 1, 0, 1, 0, 0]) == 3
+    # a codeword has no augmented code to count with
+    assert classify(demo_code, np.zeros(6, np.int64))[2:] == (None, 0)
 
 
 def test_nearest_neighbor_count_row_removal(demo_code):
-    # removed first generator row, counted against the remaining [6,2] code;
-    # that code has an all-zero column, so the rank criterion bows out with
-    # a warning and the count falls through to exhaustive enumeration
+    # the removed first generator row, against the remaining [6,2] code
+    # (which has an all-zero column): it sits at distance d = 3, so its
+    # nearest codewords are the weight-3 words of C^w outside C_j, counted
+    # by the row-removal identity
     Cj = demo_code.remove_row(0)
-    with pytest.warns(UserWarning):
-        assert nearest_neighbor_count(Cj, demo_code.G.a[0]) == 2
+    w = demo_code.G.a[0]
+    d, _, Cw, d_w = classify(Cj, w)
+    assert d == 3 and d_w is None  # coset weight d or more
+    assert min_distance(Cw) == d
+    assert ideal_degree(build_ideal(Cw, d + 1)) - ideal_degree(build_ideal(Cj, d + 1)) == 2
 
 
 def test_nearest_neighbor_count_matches_oracle_randomized():
     rng = np.random.default_rng(41)
+    counted = 0
     for _ in range(40):
         p = int(rng.choice([2, 3]))
         k = int(rng.integers(1, 4))
@@ -198,5 +211,33 @@ def test_nearest_neighbor_count_matches_oracle_randomized():
         inside, _ = C.contains(w)
         if inside:
             continue
-        _, vectors = nearest_neighbors(C, w)
-        assert nearest_neighbor_count(C, w) == vectors.shape[0]
+        d_w, vectors = nearest_neighbors(C, w)
+        if d_w >= min_distance(C):
+            continue  # no degree count at coset weight d or more
+        assert neighbor_count(C, w) == vectors.shape[0]
+        counted += 1
+    assert counted >= 15
+
+
+def test_degree_is_read_off_the_generating_piece(demo_code, monkeypatch):
+    # an ideal of g-fold products of linear forms has a linear resolution,
+    # so its degree is HF(g) and no piece above g is eliminated
+    asked = []
+    real = ideals.IdealPiece.piece
+
+    def recording(self, m):
+        asked.append(int(m))
+        return real(self, m)
+
+    monkeypatch.setattr(ideals.IdealPiece, "piece", recording)
+    assert ideal_degree(build_ideal(demo_code, 4)) == 4
+    assert asked == [4]
+    asked.clear()
+    res = decode(demo_code, [1, 1, 0, 1, 0, 0])
+    assert res.status is DecodeStatus.AMBIGUOUS and res.neighbor_count == 3
+    assert asked == [3]
+    # beyond the radius the count and the colon share the one cached piece
+    asked.clear()
+    res = decode(LinearCode(PrimeField(2), [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]), [1, 0, 0, 0, 0])
+    assert res.status is DecodeStatus.CORRECTED
+    assert asked == [2, 2]

@@ -109,12 +109,13 @@ def test_ideal_degree_demo(demo_ideal, demo_code):
     assert ideal_degree(build_ideal(demo_code, 4)) == 4  # four minimal words
 
 
-def test_ideal_degree_positive_dimensional_raises():
-    # x^2 in three variables: the quotient keeps growing, no stable value
+def test_colon_degree_positive_dimensional_raises():
+    # (x^2) : y = (x^2) in three variables: the quotient keeps growing, no
+    # stable value
     F = PrimeField(2)
     I = IdealPiece(F, 3, 2, MatrixGF(F, [[1, 0, 0, 0, 0, 0]]))
     with pytest.raises(StabilizationError):
-        ideal_degree(I)
+        colon_degree(I, 1)
 
 
 def test_min_distance_known_codes(demo_code, hamming_code, demo_augmented):
@@ -123,11 +124,11 @@ def test_min_distance_known_codes(demo_code, hamming_code, demo_augmented):
     assert min_distance(demo_augmented) == 1
 
 
-def test_min_distance_zero_column_warns():
+def test_min_distance_skips_zero_column():
+    # codewords 101, 001, 100: the zero middle coordinate carries no weight
     F = PrimeField(2)
     C = LinearCode(F, [[1, 0, 1], [0, 0, 1]])
-    with pytest.warns(UserWarning):
-        assert min_distance(C) == 0
+    assert min_distance(C) == enumerate_min_distance(C) == 1
 
 
 def test_min_distance_matches_oracle_randomized():

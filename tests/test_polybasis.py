@@ -17,6 +17,11 @@ from coldec.polybasis import (
 )
 
 
+def index_of(basis, e) -> int:
+    """Position of one exponent vector, through the table index."""
+    return int(basis.index([e])[0])
+
+
 def test_checked_binomial_values():
     assert checked_binomial(5, 2, "test") == 10
     assert checked_binomial(0, 0, "test") == 1
@@ -39,9 +44,9 @@ def test_basis_size_is_stars_and_bars():
 def test_graded_order_two_vars():
     # degree-2 monomials in (x, y), largest lexicographically first
     basis = monomial_basis(2, 2)
-    assert basis.rank((2, 0)) == 0
-    assert basis.rank((1, 1)) == 1
-    assert basis.rank((0, 2)) == 2
+    assert index_of(basis, (2, 0)) == 0
+    assert index_of(basis, (1, 1)) == 1
+    assert index_of(basis, (0, 2)) == 2
     assert tuple(basis.unrank(1)) == (1, 1)
 
 
@@ -51,7 +56,7 @@ def test_exponents_table_matches_unrank():
     assert table.shape == (basis.size, 3)
     for i in range(basis.size):
         assert tuple(table[i]) == tuple(basis.unrank(i))
-        assert basis.rank(table[i]) == i
+        assert index_of(basis, table[i]) == i
     # table rows all sum to the degree
     assert (table.sum(axis=1) == 3).all()
 
@@ -71,11 +76,11 @@ def test_exponents_table_is_the_unrank_table(nvars, degree):
 def test_rank_validates_input():
     basis = monomial_basis(2, 2)
     with pytest.raises(ValueError):
-        basis.rank((1, 0))  # wrong total degree
+        index_of(basis, (1, 0))  # wrong total degree
     with pytest.raises(ValueError):
-        basis.rank((-1, 3))
+        index_of(basis, (-1, 3))
     with pytest.raises(ValueError):
-        basis.rank((1, 1, 0))
+        index_of(basis, (1, 1, 0))
 
 
 @given(nvars=st.integers(1, 5), degree=st.integers(0, 6))
@@ -85,7 +90,7 @@ def test_rank_unrank_bijection(nvars, degree):
     seen = set()
     for i in range(basis.size):
         e = tuple(basis.unrank(i))
-        assert basis.rank(e) == i
+        assert index_of(basis, e) == i
         seen.add(e)
     assert len(seen) == basis.size
 
@@ -100,7 +105,7 @@ def test_mult_map_is_multiplication_by_variable():
         for i in range(basis.size):
             e = list(basis.unrank(i))
             e[var] += 1
-            assert up.rank(e) == idx[i]
+            assert index_of(up, e) == idx[i]
         assert len(set(idx.tolist())) == basis.size  # injective
 
 
@@ -108,7 +113,7 @@ def test_power_map_shifts_by_u():
     basis = monomial_basis(2, 1)
     idx = basis.power_maps(3)[1]  # multiply by y^3, degree 1 -> 4
     up = monomial_basis(2, 4)
-    assert [up.rank((1, 3)), up.rank((0, 4))] == idx.tolist()
+    assert [index_of(up, (1, 3)), index_of(up, (0, 4))] == idx.tolist()
 
 
 def test_index_and_power_maps_agree_with_unrank():
@@ -148,7 +153,7 @@ def poly_from_terms(field, nvars, degree, terms):
     basis = monomial_basis(nvars, degree)
     coeffs = np.zeros(basis.size, dtype=np.int64)
     for exps, c in terms.items():
-        coeffs[basis.rank(exps)] = c % field.p
+        coeffs[index_of(basis, exps)] = c % field.p
     return PolyVector(field, nvars, degree, coeffs)
 
 
@@ -165,7 +170,7 @@ def multiply(f: PolyVector, g: PolyVector) -> PolyVector:
     out = np.zeros(out_basis.size, np.int64)
     for i in np.nonzero(f.coeffs)[0]:
         for j in np.nonzero(g.coeffs)[0]:
-            r = out_basis.rank(bf[i] + bg[j])
+            r = index_of(out_basis, bf[i] + bg[j])
             out[r] = (out[r] + int(f.coeffs[i]) * int(g.coeffs[j])) % p
     return PolyVector(f.field, f.nvars, f.degree + g.degree, out)
 
