@@ -6,7 +6,11 @@ lexicographic order: index 0 is the lexicographically largest exponent
 vector (g, 0, ..., 0), the last index is (0, ..., 0, g). Multiplying by a
 linear form or a variable power becomes index arithmetic through cached
 position maps, so products of linear forms never touch a symbolic
-polynomial type.
+polynomial type. A product with a linear form is one gather: coefficient
+h_m of the product is the sum over v of c_v * f_{m / x_v}, read through the
+cached divisor maps of the product's basis, with the terms where x_v does
+not divide m reading a padded zero. Each such sum is at most
+nvars * (p-1)**2, inside int64, and is reduced mod p once.
 
 All index computations are checked against 64-bit overflow; a basis whose
 size would not fit raises BinomialOverflowError naming the offending
@@ -56,7 +60,7 @@ def checked_binomial(n: int, k: int, what: str = "") -> int:
 class MonomialBasis:
     """The monomials of one total degree in graded lexicographic order."""
 
-    __slots__ = ("nvars", "degree", "size", "_exps", "_maps")
+    __slots__ = ("nvars", "degree", "size", "_exps", "_maps", "_divs")
 
     def __init__(self, nvars: int, degree: int):
         if nvars < 1:
@@ -70,6 +74,7 @@ class MonomialBasis:
         )
         self._exps = None
         self._maps = {}
+        self._divs = None
 
     def index(self, exponents) -> np.ndarray:
         """Positions of the rows of an (m, nvars) exponent table.
@@ -163,6 +168,24 @@ class MonomialBasis:
             self._maps[u] = maps
         return maps
 
+    def divisor_maps(self) -> np.ndarray:
+        """Index maps for division by each variable, computed once.
+
+        Row v of the (nvars, size) result holds, for each monomial m of
+        this basis, the position of m / x_v in the degree-1 basis, or that
+        basis's size where x_v does not divide m. It inverts the lower
+        basis's `power_maps(1)` with one scatter.
+        """
+        if self.degree < 1:
+            raise ValueError("a degree-0 basis has no divisor maps")
+        if self._divs is None:
+            lower = monomial_basis(self.nvars, self.degree - 1)
+            inv = np.full((self.nvars, self.size), lower.size, np.int64)
+            inv[np.arange(self.nvars)[:, None], lower.power_maps(1)] = np.arange(lower.size)
+            inv.flags.writeable = False
+            self._divs = inv
+        return self._divs
+
     def __repr__(self) -> str:
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={self.size})"
 
@@ -253,18 +276,19 @@ def _common_field(a, b) -> PrimeField:
 
 
 def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:
-    """Product with a linear form through the cached variable maps.
+    """Product with a linear form as one gather through the divisor maps.
 
-    Each map is injective, so the sums are accumulated unreduced (at most
-    nvars * (p-1)**2 per entry) and reduced mod p once, by PolyVector.
+    f is padded with one zero, so a monomial that x_v does not divide
+    reads 0 through the sentinel of `divisor_maps`. The form's coefficients
+    then weight the nvars gathered rows in one matrix-vector product. Each
+    entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32 for p < 2**16,
+    so it stays far inside int64; PolyVector reduces it mod p once.
     """
     field = _common_field(f, form)
     if f.nvars != form.nvars:
         raise ValueError("operands use different variable counts")
-    maps = monomial_basis(f.nvars, f.degree).power_maps(1)
-    out = np.zeros(monomial_basis(f.nvars, f.degree + 1).size, np.int64)
-    for v in np.nonzero(form.coeffs)[0]:
-        out[maps[v]] += int(form.coeffs[v]) * f.coeffs
+    inv = monomial_basis(f.nvars, f.degree + 1).divisor_maps()
+    out = form.coeffs @ np.concatenate((f.coeffs, [0]))[inv]
     return PolyVector(field, f.nvars, f.degree + 1, out)
 
 

@@ -181,6 +181,23 @@ def test_count_min(demo_files, capsys):
     assert out.strip() == "d=3 count=4 oracle_count=4 agree=true"
 
 
+@pytest.mark.parametrize(
+    "text,expect",
+    [
+        ("2 1 4\n1 1 1 1\n", "d=4 count=1 oracle_count=1 agree=true"),
+        ("3 1 3\n1 2 1\n", "d=3 count=1 oracle_count=1 agree=true"),
+        ("5 1 3\n1 2 3\n", "d=3 count=1 oracle_count=1 agree=true"),
+    ],
+)
+def test_count_min_repetition_code(tmp_path, capsys, text, expect):
+    # d = n leaves no (d+1)-fold product; the one projective codeword counts 1
+    code = tmp_path / "rep.code"
+    code.write_text(text)
+    rc, out, _ = run(capsys, "count-min", "--oracle", str(code))
+    assert rc == 0
+    assert out.strip() == expect
+
+
 def test_count_diff_worked_instance(demo_files, capsys):
     code, _ = demo_files
     rc, out, _ = run(capsys, "count-diff", "--row", "1", code)

@@ -216,6 +216,44 @@ def test_multiply_by_form_matches_generic_multiply():
         form = LinearForm(F, coeffs)
         as_poly = form.as_poly()
         assert multiply_by_form(v, form) == multiply(v, as_poly)
+    # every field size up to the largest modulus, degree 0 included, and
+    # the zero form, each single-variable form and a full form
+    for p in (2, 3, 5, 251, 65521):
+        F = PrimeField(p)
+        for nvars in range(1, 6):
+            forms = [np.zeros(nvars, np.int64)]
+            for v in range(nvars):
+                single = np.zeros(nvars, np.int64)
+                single[v] = p - 1
+                forms.append(single)
+            forms.append(rng.integers(0, p, size=nvars))
+            forms.append(np.full(nvars, p - 1))
+            for deg in range(5):
+                size = monomial_basis(nvars, deg).size
+                for f in (rng.integers(0, p, size=size), np.full(size, p - 1)):
+                    poly = PolyVector(F, nvars, deg, f)
+                    for coeffs in forms:
+                        form = LinearForm(F, coeffs)
+                        assert multiply_by_form(poly, form) == multiply(poly, form.as_poly())
+
+
+def test_divisor_maps_invert_the_variable_maps():
+    for nvars in range(1, 6):
+        for degree in range(1, 6):
+            basis = monomial_basis(nvars, degree)
+            lower = monomial_basis(nvars, degree - 1)
+            inv = basis.divisor_maps()
+            assert inv.shape == (nvars, basis.size) and inv.dtype == np.int64
+            assert not inv.flags.writeable
+            assert basis.divisor_maps() is inv
+            maps = lower.power_maps(1)
+            exps = basis.exponents()
+            for v in range(nvars):
+                assert inv[v][maps[v]].tolist() == list(range(lower.size))
+                sentinel = inv[v] == lower.size
+                assert sentinel.tolist() == (exps[:, v] == 0).tolist()
+    with pytest.raises(ValueError):
+        monomial_basis(3, 0).divisor_maps()
 
 
 def test_product_of_linear_forms_demo():
