@@ -77,10 +77,10 @@ class LinearCode:
         return f"LinearCode(GF({self.field.p}), n={self.n}, k={self.k})"
 
     def _vector(self, v, length: int, what: str) -> np.ndarray:
-        arr = np.asarray(v, dtype=np.int64)
+        arr = self.field.reduce(v)
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"{what} must be a vector of length {length}")
-        return arr % self.field.p
+        return arr
 
     def encode(self, message) -> Codeword:
         """Codeword for a length-k message: message @ G."""

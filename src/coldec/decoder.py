@@ -11,6 +11,7 @@ a rank computation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,13 +62,6 @@ class DecodeResult:
     colon_power: int | None = None
 
 
-def _validated_word(C: LinearCode, w) -> np.ndarray:
-    arr = np.asarray(w, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != C.n:
-        raise ValueError(f"received word must be a vector of length {C.n}")
-    return arr % C.field.p
-
-
 def classify(C: LinearCode, w: np.ndarray):
     """Coset classification of a validated word: (d, message, C^w, d_w).
 
@@ -103,7 +97,9 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     smallest power u = d_w unless `colon_power` gives u explicitly; its
     linear piece must have dimension k, the point ideal's.
     """
-    w = _validated_word(C, w)
+    w = C._vector(w, C.n, "received word")
+    if colon_power is not None:
+        colon_power = operator.index(colon_power)
     p = C.field.p
     d, msg, Cw, d_w = classify(C, w)
     if msg is not None:
@@ -124,7 +120,7 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
             return DecodeResult(
                 status=DecodeStatus.AMBIGUOUS, d=d, d_w=d_w, neighbor_count=count
             )
-    u = d_w if colon_power is None else int(colon_power)
+    u = d_w if colon_power is None else colon_power
     space = colon_linear_piece(I, C.k, u)
     if space.dim != C.k:
         raise RuntimeError(

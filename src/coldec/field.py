@@ -59,6 +59,17 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def reduce(self, values) -> np.ndarray:
-        """Copy `values` into a fresh int64 array of canonical residues."""
-        arr = np.asarray(values, dtype=np.int64)
-        return arr % self.p
+        """Copy `values` into a fresh int64 array of canonical residues.
+
+        Bool and integer entries are accepted, and float entries only when
+        each is an integer inside the int64 range; anything else raises
+        ValueError rather than being truncated.
+        """
+        arr = np.asarray(values)
+        if arr.dtype.kind == "f":
+            integral = (np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))
+        else:
+            integral = arr.dtype.kind in "biu"
+        if not np.all(integral):
+            raise ValueError(f"entries must be integers, got {arr.dtype} values")
+        return np.asarray(arr, np.int64) % self.p

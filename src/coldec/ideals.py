@@ -25,6 +25,7 @@ degree, which makes that iteration exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,8 +34,6 @@ from . import kernels
 from .field import PrimeField
 from .linalg import MatrixGF, preimage_of_colspace
 from .polybasis import (
-    LinearForm,
-    PolyVector,
     checked_binomial,
     monomial_basis,
     multiply_by_form,
@@ -88,9 +87,6 @@ class LinearFormSpace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def forms(self) -> list[LinearForm]:
-        return [LinearForm(self.field, row) for row in self.basis]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearFormSpace):
             return NotImplemented
@@ -140,9 +136,9 @@ class ProjectivePoint:
 class IdealPiece:
     """An ideal generated in one degree, as a generator coefficient matrix.
 
-    `gens` has one row per generator in the degree-`gen_degree` monomial
-    basis. Echelon bases of higher graded pieces are cached as they are
-    computed.
+    `gens` is a read-only int64 array of canonical residues with one row
+    per generator in the degree-`gen_degree` monomial basis. Echelon bases
+    of higher graded pieces are cached as they are computed.
     """
 
     __slots__ = ("field", "nvars", "gen_degree", "gens", "_pieces")
@@ -152,14 +148,13 @@ class IdealPiece:
         if gen_degree < 1:
             raise ValueError("generators must have degree at least 1")
         size = monomial_basis(nvars, gen_degree).size
-        gens = gens if isinstance(gens, MatrixGF) else MatrixGF(field, gens)
-        if gens.field != field:
-            raise ValueError("generator matrix field does not match")
-        if gens.cols != size:
+        gens = field.reduce(gens)
+        if gens.ndim != 2 or gens.shape[1] != size:
             raise ValueError(
                 f"degree-{gen_degree} generators in {nvars} variables need "
-                f"{size} columns, got {gens.cols}"
+                f"{size} columns, got shape {gens.shape}"
             )
+        gens.flags.writeable = False
         self.field = field
         self.nvars = int(nvars)
         self.gen_degree = gen_degree
@@ -180,7 +175,7 @@ class IdealPiece:
         size = monomial_basis(self.nvars, m).size
         acc = kernels.Echelon(size, p)
         if m == self.gen_degree:
-            acc.insert(self.gens.a)
+            acc.insert(self.gens)
         else:
             prev_rows, _ = self.piece(m - 1)
             maps = monomial_basis(self.nvars, m - 1).power_maps(1)
@@ -198,29 +193,27 @@ class IdealPiece:
     def __repr__(self) -> str:
         return (
             f"IdealPiece(GF({self.field.p}), nvars={self.nvars}, "
-            f"gen_degree={self.gen_degree}, gens={self.gens.rows})"
+            f"gen_degree={self.gen_degree}, gens={self.gens.shape[0]})"
         )
 
 
-def _iter_product_rows(field: PrimeField, forms: list[LinearForm], s: int):
-    """Coefficient rows of all products of s distinct forms.
+def _iter_product_rows(forms: np.ndarray, s: int, p: int):
+    """Coefficient rows of all products of s distinct rows of `forms`.
 
     Subsets are enumerated in lexicographic order; prefix products are
     shared along the recursion, so each yielded row costs one linear-form
     multiplication.
     """
-    n = len(forms)
-    nvars = forms[0].nvars
+    n = forms.shape[0]
 
-    def rec(start: int, prefix: PolyVector):
-        depth = prefix.degree
+    def rec(start: int, depth: int, prefix: np.ndarray):
         if depth == s:
-            yield prefix.coeffs
+            yield prefix
             return
         for j in range(start, n - (s - depth) + 1):
-            yield from rec(j + 1, multiply_by_form(prefix, forms[j]))
+            yield from rec(j + 1, depth + 1, multiply_by_form(prefix, depth, forms[j], p))
 
-    yield from rec(0, PolyVector.one(field, nvars))
+    yield from rec(0, 0, np.ones(1, np.int64))
 
 
 def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
@@ -232,11 +225,10 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     s = int(s)
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
-    forms = [LinearForm(C.field, col) for col in C.G.a.T]
     count = checked_binomial(C.n, s, "generator count")
     size = monomial_basis(C.k, s).size
     rows = np.zeros((count, size), np.int64)
-    for i, row in enumerate(_iter_product_rows(C.field, forms, s)):
+    for i, row in enumerate(_iter_product_rows(C.G.a.T, s, C.field.p)):
         rows[i] = row
     return IdealPiece(C.field, C.k, s, rows)
 
@@ -250,24 +242,26 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     scanned: a zero coordinate never carries weight, and every product
     through its (zero) form vanishes.
 
-    With a `cap` (at least 1) the scan also returns once level `cap` is
-    full, so the result is min(d, cap) and no level above `cap` is built.
-    The value is cached on the code only when it is the exact distance,
-    that is when a level at or below the cap is not full.
+    With an integer `cap` (at least 1) the scan also returns once level
+    `cap` is full, so the result is min(d, cap) and no level above `cap` is
+    built. The value is cached on the code only when it is the exact
+    distance, that is when a level at or below the cap is not full.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"distance cap must be at least 1, got {cap}")
+    if cap is not None:
+        cap = operator.index(cap)
+        if cap < 1:
+            raise ValueError(f"distance cap must be at least 1, got {cap}")
     if C._dmin is not None:
         return C._dmin if cap is None else min(C._dmin, cap)
     p = C.field.p
-    forms = [LinearForm(C.field, col) for col in C.G.a[:, C.G.a.any(axis=0)].T]
+    forms = C.G.a[:, C.G.a.any(axis=0)].T
     s = 1
     while True:
         target = monomial_basis(C.k, s).size
         acc = kernels.Echelon(target, p)
         buf: list[np.ndarray] = []
         reached = False
-        for row in _iter_product_rows(C.field, forms, s):
+        for row in _iter_product_rows(forms, s, p):
             buf.append(row)
             if len(buf) >= 64:
                 if acc.insert(np.stack(buf), stop_rank=target) >= target:
@@ -449,8 +443,8 @@ def verify_power_containment(ideal: IdealPiece, space: LinearFormSpace) -> bool:
     if rank:
         acc.insert(rows)
     products = [
-        product_of_linear_forms(combo).coeffs
-        for combo in itertools.combinations_with_replacement(space.forms(), g)
+        product_of_linear_forms(combo, ideal.field.p)
+        for combo in itertools.combinations_with_replacement(space.basis, g)
     ]
     if not products:
         return True

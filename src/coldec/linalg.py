@@ -31,10 +31,9 @@ class MatrixGF:
     __slots__ = ("field", "a")
 
     def __init__(self, field: PrimeField, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = field.reduce(entries)
         if arr.ndim != 2:
             raise ValueError(f"matrix entries must be 2-dimensional, got shape {arr.shape}")
-        arr = arr % field.p
         arr.flags.writeable = False
         self.field = field
         self.a = arr

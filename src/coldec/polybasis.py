@@ -1,16 +1,19 @@
-"""Monomial bases of fixed total degree and homogeneous coefficient vectors.
+"""Monomial bases of fixed total degree, and products of linear forms.
 
-A homogeneous polynomial of degree g in `nvars` variables is a dense
-coefficient vector indexed by the monomials of degree g in graded
-lexicographic order: index 0 is the lexicographically largest exponent
-vector (g, 0, ..., 0), the last index is (0, ..., 0, g). Multiplying by a
-linear form or a variable power becomes index arithmetic through cached
-position maps, so products of linear forms never touch a symbolic
-polynomial type. A product with a linear form is one gather: coefficient
-h_m of the product is the sum over v of c_v * f_{m / x_v}, read through the
-cached divisor maps of the product's basis, with the terms where x_v does
-not divide m reading a padded zero. Each such sum is at most
-nvars * (p-1)**2, inside int64, and is reduced mod p once.
+A homogeneous polynomial of degree g in `nvars` variables is a 1-D int64
+array of canonical residues mod p, indexed by the monomials of degree g in
+graded lexicographic order: index 0 is the lexicographically largest
+exponent vector (g, 0, ..., 0), the last index is (0, ..., 0, g). A linear
+form is the degree-1 case, its coefficient array (c_1, ..., c_nvars), and
+a set of g forms is a (g, nvars) array with one form per row. The degree
+and the modulus travel with the calls, not with the arrays.
+
+Multiplying by a linear form or a variable power becomes index arithmetic
+through cached position maps. A product with a linear form is one gather:
+coefficient h_m of the product is the sum over v of c_v * f_{m / x_v},
+read through the cached divisor maps of the product's basis, with the
+terms where x_v does not divide m reading a padded zero. Each such sum is
+at most nvars * (p-1)**2, inside int64, and is reduced mod p once.
 
 All index computations are checked against 64-bit overflow; a basis whose
 size would not fit raises BinomialOverflowError naming the offending
@@ -24,15 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldMismatchError, PrimeField
-
 __all__ = [
     "BinomialOverflowError",
     "checked_binomial",
     "MonomialBasis",
     "monomial_basis",
-    "LinearForm",
-    "PolyVector",
     "multiply_by_form",
     "product_of_linear_forms",
 ]
@@ -196,115 +195,33 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree)
 
 
-class LinearForm:
-    """A homogeneous linear form, stored as its coefficient vector."""
+def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np.ndarray:
+    """Product of a degree-`degree` polynomial with a linear form, mod p.
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: PrimeField, coeffs):
-        arr = field.reduce(coeffs)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ValueError("a linear form needs a 1-dimensional coefficient vector")
-        arr.flags.writeable = False
-        self.field = field
-        self.coeffs = arr
-
-    @property
-    def nvars(self) -> int:
-        return self.coeffs.shape[0]
-
-    def as_poly(self) -> PolyVector:
-        return PolyVector(self.field, self.nvars, 1, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.field == other.field and bool(np.array_equal(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"LinearForm(GF({self.field.p}), {self.coeffs.tolist()})"
-
-
-class PolyVector:
-    """A homogeneous polynomial as a dense degree-graded coefficient vector."""
-
-    __slots__ = ("field", "nvars", "degree", "coeffs")
-
-    def __init__(self, field: PrimeField, nvars: int, degree: int, coeffs):
-        basis = monomial_basis(nvars, degree)
-        arr = field.reduce(coeffs)
-        if arr.ndim != 1 or arr.shape[0] != basis.size:
-            raise ValueError(
-                f"degree-{degree} polynomial in {nvars} variables needs "
-                f"{basis.size} coefficients, got shape {arr.shape}"
-            )
-        arr.flags.writeable = False
-        self.field = field
-        self.nvars = nvars
-        self.degree = degree
-        self.coeffs = arr
-
-    @classmethod
-    def one(cls, field: PrimeField, nvars: int) -> PolyVector:
-        return cls(field, nvars, 0, np.ones(1, np.int64))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.nvars == other.nvars
-            and self.degree == other.degree
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"PolyVector(GF({self.field.p}), nvars={self.nvars}, "
-            f"degree={self.degree}, {self.coeffs.tolist()})"
-        )
-
-
-def _common_field(a, b) -> PrimeField:
-    if a.field != b.field:
-        raise FieldMismatchError("operands live over different fields")
-    return a.field
-
-
-def multiply_by_form(f: PolyVector, form: LinearForm) -> PolyVector:
-    """Product with a linear form as one gather through the divisor maps.
-
-    f is padded with one zero, so a monomial that x_v does not divide
-    reads 0 through the sentinel of `divisor_maps`. The form's coefficients
-    then weight the nvars gathered rows in one matrix-vector product. Each
-    entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32 for p < 2**16,
-    so it stays far inside int64; PolyVector reduces it mod p once.
+    One gather through the divisor maps: f is padded with one zero, so a
+    monomial that x_v does not divide reads 0 through the sentinel of
+    `divisor_maps`, and the form's coefficients weight the nvars gathered
+    rows in one matrix-vector product. With canonical residues in f and
+    the form, each entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32
+    for p < 2**16, so it stays far inside int64 and is reduced once.
     """
-    field = _common_field(f, form)
-    if f.nvars != form.nvars:
-        raise ValueError("operands use different variable counts")
-    inv = monomial_basis(f.nvars, f.degree + 1).divisor_maps()
-    out = form.coeffs @ np.concatenate((f.coeffs, [0]))[inv]
-    return PolyVector(field, f.nvars, f.degree + 1, out)
+    nvars = form.shape[0]
+    size = monomial_basis(nvars, degree).size
+    if f.shape != (size,):
+        raise ValueError(
+            f"degree-{degree} polynomial in {nvars} variables needs "
+            f"{size} coefficients, got shape {f.shape}"
+        )
+    inv = monomial_basis(nvars, degree + 1).divisor_maps()
+    return (form @ np.concatenate((f, [0]))[inv]) % p
 
 
-def product_of_linear_forms(forms) -> PolyVector:
-    """Left-fold product of a nonempty sequence of linear forms."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("cannot take a product of zero linear forms")
-    field = forms[0].field
-    nvars = forms[0].nvars
-    for form in forms[1:]:
-        if form.field != field:
-            raise FieldMismatchError("forms live over different fields")
-        if form.nvars != nvars:
-            raise ValueError("forms use different variable counts")
-    acc = forms[0].as_poly()
-    for form in forms[1:]:
-        acc = multiply_by_form(acc, form)
+def product_of_linear_forms(forms, p: int) -> np.ndarray:
+    """Left-fold product of the rows of a nonempty (g, nvars) form array."""
+    forms = np.asarray(forms, np.int64) % p
+    if forms.ndim != 2 or forms.shape[0] == 0:
+        raise ValueError("need a nonempty (g, nvars) array of linear forms")
+    acc = forms[0]
+    for degree, form in enumerate(forms[1:], start=1):
+        acc = multiply_by_form(acc, degree, form, p)
     return acc

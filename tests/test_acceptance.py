@@ -243,7 +243,7 @@ def test_acceptance_7_full_rank_pieces_below_distance(acceptance):
             d = min_distance(C)
             for i in range(1, d + 1):
                 I = build_ideal(C, i)
-                assert I.gens.rows == checked_binomial(C.n, i, "acceptance")
+                assert I.gens.shape[0] == checked_binomial(C.n, i, "acceptance")
                 expect = checked_binomial(C.k + i - 1, i, "acceptance")
                 assert I.piece(i)[1] == expect, (C.G.a.tolist(), i)
                 pieces += 1

@@ -23,6 +23,13 @@ def test_constructor_keeps_generator_verbatim(demo_code):
     assert (demo_code.n, demo_code.k) == (6, 3)
 
 
+def test_constructor_refuses_non_integral_entries():
+    F = PrimeField(2)
+    with pytest.raises(ValueError):
+        LinearCode(F, [[1.9, 0, 1], [0, 1, 1]])
+    assert LinearCode(F, np.eye(2)) == LinearCode(F, [[1, 0], [0, 1]])
+
+
 def test_constructor_rejects_rank_deficiency():
     F = PrimeField(2)
     with pytest.raises(ValueError):

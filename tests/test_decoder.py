@@ -83,9 +83,9 @@ def test_uncorrectable_scan_stops_at_level_d(monkeypatch):
     degrees = []
     real = ideals._iter_product_rows
 
-    def recording(field, forms, s):
+    def recording(forms, s, p):
         degrees.append(s)
-        return real(field, forms, s)
+        return real(forms, s, p)
 
     monkeypatch.setattr(ideals, "_iter_product_rows", recording)
     res = decode(C, [1, 1, 0, 0])
@@ -148,6 +148,25 @@ def test_explicit_colon_power_below_generating_degree():
 def test_word_length_validated(demo_code):
     with pytest.raises(ValueError):
         decode(demo_code, [1, 0])
+
+
+@pytest.mark.parametrize("colon_power", [2.5, 1.0, "1"])
+def test_colon_power_must_be_an_integer(demo_code, demo_word, colon_power):
+    # refused up front, on a fresh code and on one with a cached distance
+    fresh = LinearCode(demo_code.field, demo_code.G.a)
+    with pytest.raises(TypeError):
+        decode(fresh, demo_word, colon_power=colon_power)
+    min_distance(fresh)
+    with pytest.raises(TypeError):
+        decode(fresh, demo_word, colon_power=colon_power)
+    assert decode(fresh, demo_word, colon_power=np.int64(1)).colon_power == 1
+
+
+def test_non_integral_word_is_refused(demo_code, demo_word):
+    with pytest.raises(ValueError):
+        decode(demo_code, [0.9, 1, 1, 1, 0, 0])
+    res = decode(demo_code, np.asarray(demo_word, np.float64))
+    assert res.error.tolist() == decode(demo_code, demo_word).error.tolist()
 
 
 def test_decode_matches_oracle_randomized():

@@ -35,6 +35,17 @@ def test_reduce_canonicalizes():
     assert arr.tolist() == [[6, 1], [0, 0]]
 
 
+def test_reduce_accepts_only_integral_entries():
+    F = PrimeField(5)
+    assert F.reduce(np.eye(2)).tolist() == [[1, 0], [0, 1]]
+    assert F.reduce(np.array([-1.0, 7.0])).tolist() == [4, 2]
+    assert F.reduce([True, False]).tolist() == [1, 0]
+    assert F.reduce(np.array([9], np.uint8)).tolist() == [4]
+    for bad in ([0.9, 1], [np.nan], [np.inf], [1e30], ["1"], [2**70]):
+        with pytest.raises(ValueError):
+            F.reduce(bad)
+
+
 @given(p=st.sampled_from(PRIMES), a=st.integers(min_value=1, max_value=65520))
 @settings(max_examples=200)
 def test_inverse_is_two_sided(p, a):

@@ -20,7 +20,6 @@ from coldec.ideals import (
     verify_power_containment,
     verify_saturation_identity,
 )
-from coldec.linalg import MatrixGF
 from coldec.oracle import enumerate_min_distance
 from coldec.polybasis import checked_binomial
 from conftest import random_code
@@ -44,11 +43,10 @@ class TestLinearFormSpace:
         assert sp.dim == 2  # third row is the sum of the first two
         assert sp == LinearFormSpace(F, 3, [[1, 1, 0], [1, 0, 1]])
 
-    def test_forms(self):
+    def test_basis_rows_are_normalized(self):
         F = PrimeField(3)
         sp = LinearFormSpace(F, 2, [[2, 1]])
-        (f,) = sp.forms()
-        assert f.coeffs.tolist() == [1, 2]  # normalized leading one
+        assert sp.basis.tolist() == [[1, 2]]  # normalized leading one
 
 
 class TestProjectivePoint:
@@ -73,11 +71,12 @@ class TestIdealPiece:
     def test_generator_width_validated(self):
         F = PrimeField(2)
         with pytest.raises(ValueError):
-            IdealPiece(F, 2, 2, MatrixGF(F, [[1, 0]]))  # needs 3 columns
+            IdealPiece(F, 2, 2, [[1, 0]])  # needs 3 columns
 
     def test_graded_pieces_grow_consistently(self, demo_ideal):
         assert demo_ideal.gen_degree == 2
-        assert demo_ideal.gens.rows == 15  # all pairs from six columns
+        assert demo_ideal.gens.shape == (15, 10)  # all pairs from six columns
+        assert demo_ideal.gens.dtype == np.int64 and not demo_ideal.gens.flags.writeable
         assert demo_ideal.piece(2)[1] == 9
         assert demo_ideal.piece(3)[1] == 19
         with pytest.raises(ValueError):
@@ -100,7 +99,7 @@ def test_hilbert_function_demo(demo_ideal):
 def test_ideal_degree_single_point():
     # forms x, y in GF(5)[x,y,z] cut out one projective point
     F = PrimeField(5)
-    I = IdealPiece(F, 3, 1, MatrixGF(F, [[1, 0, 0], [0, 1, 0]]))
+    I = IdealPiece(F, 3, 1, [[1, 0, 0], [0, 1, 0]])
     assert ideal_degree(I) == 1
 
 
@@ -113,7 +112,7 @@ def test_colon_degree_positive_dimensional_raises():
     # (x^2) : y = (x^2) in three variables: the quotient keeps growing, no
     # stable value
     F = PrimeField(2)
-    I = IdealPiece(F, 3, 2, MatrixGF(F, [[1, 0, 0, 0, 0, 0]]))
+    I = IdealPiece(F, 3, 2, [[1, 0, 0, 0, 0, 0]])
     with pytest.raises(StabilizationError):
         colon_degree(I, 1)
 
@@ -175,6 +174,18 @@ def test_min_distance_cap_below_one_rejected(demo_code, cap):
         min_distance(demo_code, cap=cap)
 
 
+@pytest.mark.parametrize("cap", [1.5, 3.0, "2"])
+def test_min_distance_cap_must_be_an_integer(demo_code, cap):
+    # both on a fresh code (the scan) and on one with a cached distance
+    fresh = LinearCode(demo_code.field, demo_code.G.a)
+    with pytest.raises(TypeError):
+        min_distance(fresh, cap=cap)
+    assert min_distance(fresh) == 3
+    with pytest.raises(TypeError):
+        min_distance(fresh, cap=cap)
+    assert min_distance(fresh, cap=np.int64(2)) == 2
+
+
 def test_full_rank_pieces_below_min_distance(demo_code):
     # i-fold products are linearly independent in degree i for i up to d
     k, d = demo_code.k, min_distance(demo_code)
@@ -186,12 +197,12 @@ def test_full_rank_pieces_below_min_distance(demo_code):
 def test_colon_degree_small_examples():
     F3 = PrimeField(3)
     # (x^2) : x = (x) in GF(3)[x,y]: one point with multiplicity one
-    I = IdealPiece(F3, 2, 2, MatrixGF(F3, [[1, 0, 0]]))
+    I = IdealPiece(F3, 2, 2, [[1, 0, 0]])
     assert colon_degree(I, 0) == 1
     # (x,y)^2 : x = (x,y) in GF(2)[x,y,z]
     F2 = PrimeField(2)
     sq = IdealPiece(
-        F2, 3, 2, MatrixGF(F2, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+        F2, 3, 2, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
     )
     assert colon_degree(sq, 0) == 1
 

@@ -1,15 +1,18 @@
 """Monomial bookkeeping and exact polynomial products."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec.field import FieldMismatchError, PrimeField
+from coldec import kernels
+from coldec.code import LinearCode
+from coldec.field import PrimeField
+from coldec.ideals import build_ideal
 from coldec.polybasis import (
     BinomialOverflowError,
-    LinearForm,
-    PolyVector,
     checked_binomial,
     monomial_basis,
     multiply_by_form,
@@ -149,77 +152,55 @@ def test_index_and_power_maps_agree_with_unrank():
         monomial_basis(2, 2).index([[1, 1, 0], [0, 1, 1]])  # three variables
 
 
-def poly_from_terms(field, nvars, degree, terms):
+def poly_from_terms(p, nvars, degree, terms):
     basis = monomial_basis(nvars, degree)
     coeffs = np.zeros(basis.size, dtype=np.int64)
     for exps, c in terms.items():
-        coeffs[index_of(basis, exps)] = c % field.p
-    return PolyVector(field, nvars, degree, coeffs)
+        coeffs[index_of(basis, exps)] = c % p
+    return coeffs
 
 
-def multiply(f: PolyVector, g: PolyVector) -> PolyVector:
-    """Reference product of two homogeneous polynomials, term by term."""
-    if f.field != g.field:
-        raise FieldMismatchError("operands live over different fields")
-    if f.nvars != g.nvars:
-        raise ValueError("operands use different variable counts")
-    p = f.field.p
-    out_basis = monomial_basis(f.nvars, f.degree + g.degree)
-    bf = monomial_basis(f.nvars, f.degree).exponents()
-    bg = monomial_basis(g.nvars, g.degree).exponents()
+def multiply(f, f_degree, g, g_degree, nvars, p):
+    """Reference product of two homogeneous coefficient arrays, term by term."""
+    out_basis = monomial_basis(nvars, f_degree + g_degree)
+    bf = monomial_basis(nvars, f_degree).exponents()
+    bg = monomial_basis(nvars, g_degree).exponents()
     out = np.zeros(out_basis.size, np.int64)
-    for i in np.nonzero(f.coeffs)[0]:
-        for j in np.nonzero(g.coeffs)[0]:
+    for i in np.nonzero(f)[0]:
+        for j in np.nonzero(g)[0]:
             r = index_of(out_basis, bf[i] + bg[j])
-            out[r] = (out[r] + int(f.coeffs[i]) * int(g.coeffs[j])) % p
-    return PolyVector(f.field, f.nvars, f.degree + g.degree, out)
+            out[r] = (out[r] + int(f[i]) * int(g[j])) % p
+    return out
 
 
 def test_multiply_known_product():
     # (x + y)^2 = x^2 + 2xy + y^2 over GF(5)
-    F = PrimeField(5)
-    f = poly_from_terms(F, 2, 1, {(1, 0): 1, (0, 1): 1})
-    sq = multiply(f, f)
-    assert sq.degree == 2
-    expect = poly_from_terms(F, 2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert sq == expect
+    f = poly_from_terms(5, 2, 1, {(1, 0): 1, (0, 1): 1})
+    sq = multiply(f, 1, f, 1, 2, 5)
+    expect = poly_from_terms(5, 2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    assert sq.tolist() == expect.tolist()
 
 
 def test_multiply_freshman_dream_gf2():
     # (x + y)^2 = x^2 + y^2 over GF(2)
-    F = PrimeField(2)
-    f = poly_from_terms(F, 2, 1, {(1, 0): 1, (0, 1): 1})
-    sq = multiply(f, f)
-    expect = poly_from_terms(F, 2, 2, {(2, 0): 1, (0, 2): 1})
-    assert sq == expect
-
-
-def test_products_refuse_operands_over_different_fields():
-    f2 = poly_from_terms(PrimeField(2), 2, 1, {(1, 0): 1, (0, 1): 1})
-    g3 = poly_from_terms(PrimeField(3), 2, 1, {(1, 0): 1, (0, 1): 2})
-    with pytest.raises(FieldMismatchError):
-        multiply(f2, g3)
-    with pytest.raises(FieldMismatchError):
-        multiply_by_form(f2, LinearForm(PrimeField(3), [1, 2]))
-    with pytest.raises(FieldMismatchError):
-        multiply_by_form(g3, LinearForm(PrimeField(2), [1, 1]))
+    f = poly_from_terms(2, 2, 1, {(1, 0): 1, (0, 1): 1})
+    sq = multiply(f, 1, f, 1, 2, 2)
+    expect = poly_from_terms(2, 2, 2, {(2, 0): 1, (0, 2): 1})
+    assert sq.tolist() == expect.tolist()
 
 
 def test_multiply_by_form_matches_generic_multiply():
-    F = PrimeField(7)
     rng = np.random.default_rng(5)
     for _ in range(10):
         deg = int(rng.integers(1, 4))
-        basis = monomial_basis(3, deg)
-        v = PolyVector(F, 3, deg, rng.integers(0, 7, size=basis.size))
-        coeffs = rng.integers(0, 7, size=3)
-        form = LinearForm(F, coeffs)
-        as_poly = form.as_poly()
-        assert multiply_by_form(v, form) == multiply(v, as_poly)
+        v = rng.integers(0, 7, size=monomial_basis(3, deg).size)
+        form = rng.integers(0, 7, size=3)
+        got = multiply_by_form(v, deg, form, 7)
+        assert got.dtype == np.int64
+        assert got.tolist() == multiply(v, deg, form, 1, 3, 7).tolist()
     # every field size up to the largest modulus, degree 0 included, and
     # the zero form, each single-variable form and a full form
     for p in (2, 3, 5, 251, 65521):
-        F = PrimeField(p)
         for nvars in range(1, 6):
             forms = [np.zeros(nvars, np.int64)]
             for v in range(nvars):
@@ -231,10 +212,14 @@ def test_multiply_by_form_matches_generic_multiply():
             for deg in range(5):
                 size = monomial_basis(nvars, deg).size
                 for f in (rng.integers(0, p, size=size), np.full(size, p - 1)):
-                    poly = PolyVector(F, nvars, deg, f)
-                    for coeffs in forms:
-                        form = LinearForm(F, coeffs)
-                        assert multiply_by_form(poly, form) == multiply(poly, form.as_poly())
+                    for form in forms:
+                        want = multiply(f, deg, form, 1, nvars, p)
+                        assert multiply_by_form(f, deg, form, p).tolist() == want.tolist()
+
+
+def test_multiply_by_form_validates_length():
+    with pytest.raises(ValueError):
+        multiply_by_form(np.zeros(5, np.int64), 2, np.array([1, 1]), 2)  # size is 3
 
 
 def test_divisor_maps_invert_the_variable_maps():
@@ -258,27 +243,40 @@ def test_divisor_maps_invert_the_variable_maps():
 
 def test_product_of_linear_forms_demo():
     # x * (x + y) = x^2 + xy over GF(2)
-    F = PrimeField(2)
-    prod = product_of_linear_forms([LinearForm(F, [1, 0]), LinearForm(F, [1, 1])])
-    expect = poly_from_terms(F, 2, 2, {(2, 0): 1, (1, 1): 1})
-    assert prod == expect
+    prod = product_of_linear_forms([[1, 0], [1, 1]], 2)
+    expect = poly_from_terms(2, 2, 2, {(2, 0): 1, (1, 1): 1})
+    assert prod.tolist() == expect.tolist()
+    # one form is its own product
+    assert product_of_linear_forms([[4, 1]], 3).tolist() == [1, 1]
 
 
 def test_product_of_linear_forms_rejects_empty():
     with pytest.raises(ValueError):
-        product_of_linear_forms([])
-
-
-def test_polyvector_validates_length():
-    F = PrimeField(2)
+        product_of_linear_forms([], 2)
     with pytest.raises(ValueError):
-        PolyVector(F, 2, 2, np.zeros(5, dtype=np.int64))  # size is 3
+        product_of_linear_forms(np.zeros((0, 2), np.int64), 2)
 
 
-def test_zero_and_one():
-    F = PrimeField(3)
-    z = PolyVector(F, 2, 2, np.zeros(3, np.int64))
-    assert not z.coeffs.any()
-    one = PolyVector.one(F, 2)
-    assert one.degree == 0 and one.coeffs.any()
-    assert not LinearForm(F, [0, 0]).coeffs.any()
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_build_ideal_rows_are_products_of_column_subsets(p):
+    # row i of build_ideal(C, s) is the product of the columns in the i-th
+    # lexicographic s-subset, for every s in 1..n
+    rng = np.random.default_rng(p)
+    F = PrimeField(p)
+    for k, n in ((1, 3), (2, 5), (3, 6)):
+        while True:
+            G = rng.integers(0, p, size=(k, n))
+            if kernels.rank_of_rows(G, p) == k:
+                break
+        C = LinearCode(F, G)
+        cols = C.G.a.T
+        for s in range(1, n + 1):
+            gens = build_ideal(C, s).gens
+            combos = list(itertools.combinations(range(n), s))
+            assert gens.shape == (len(combos), monomial_basis(k, s).size)
+            for row, combo in zip(gens, combos):
+                want = np.ones(1, np.int64)
+                for degree, j in enumerate(combo):
+                    want = multiply(want, degree, cols[j], 1, k, p)
+                assert row.tolist() == want.tolist()
+                assert product_of_linear_forms(cols[list(combo)], p).tolist() == want.tolist()
