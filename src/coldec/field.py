@@ -61,15 +61,26 @@ class PrimeField:
     def reduce(self, values) -> np.ndarray:
         """Copy `values` into a fresh int64 array of canonical residues.
 
-        Bool and integer entries are accepted, and float entries only when
-        each is an integer inside the int64 range; anything else raises
-        ValueError rather than being truncated.
+        Entries must pass `int64_entries`; anything else raises ValueError
+        rather than being truncated.
         """
-        arr = np.asarray(values)
-        if arr.dtype.kind == "f":
-            integral = (np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))
-        else:
-            integral = arr.dtype.kind in "biu"
-        if not np.all(integral):
-            raise ValueError(f"entries must be integers, got {arr.dtype} values")
-        return np.asarray(arr, np.int64) % self.p
+        return int64_entries(values) % self.p
+
+
+def int64_entries(values) -> np.ndarray:
+    """`values` as an int64 array, refusing entries that are not integers.
+
+    Bool and integer entries are accepted, and float entries only when
+    each is an integer; either must lie inside the int64 range. Anything
+    else raises ValueError. An int64 array is returned as is, not copied.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        integral = np.all((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr)))
+    elif arr.dtype == np.uint64:  # the cast would wrap values from 2**63 up
+        integral = not np.any(arr >= 2**63)
+    else:
+        integral = arr.dtype.kind in "biu"
+    if not integral:
+        raise ValueError(f"entries must be integers inside the int64 range, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)

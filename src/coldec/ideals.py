@@ -264,12 +264,12 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         for row in _iter_product_rows(forms, s, p):
             buf.append(row)
             if len(buf) >= 64:
-                if acc.insert(np.stack(buf), stop_rank=target) >= target:
+                if acc.insert(np.stack(buf), stop_rank=target, consume=True) >= target:
                     reached = True
                     break
                 buf.clear()
         if not reached and buf:
-            reached = acc.insert(np.stack(buf), stop_rank=target) >= target
+            reached = acc.insert(np.stack(buf), stop_rank=target, consume=True) >= target
         if not reached:
             C._dmin = s - 1
             return C._dmin

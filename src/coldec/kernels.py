@@ -11,6 +11,16 @@ rows are back-substituted into the basis by a second product. `reduce` is
 a single product, and `rref_array` is the same accumulator with its rows
 sorted by pivot column.
 
+The pivot loop over a residue of 64 cells or more probes only candidate
+columns: those nonzero below the current row when the list was made. The
+first probe that finds a column zero there rebuilds the list from the
+columns to its right, as everything to its left is zero there too. A
+pivot step touches only the columns from the pivot on; when fewer than
+half the rows are nonzero in the pivot column it updates just those rows,
+otherwise the whole panel, as it always does below 64 cells. Each step is
+reduced mod p at once: delaying that reduction inside the loop measured
+slower.
+
 The products run as float64 matrix multiplications through BLAS with
 delayed modular reduction: entries are canonical residues in [0, p), so a
 product with inner dimension at most `cols` sums at most cols*(p-1)**2,
@@ -23,13 +33,17 @@ passes.
 Reduced row echelon form, rank, pivot columns and the residue of a row
 (the unique vector of row + span that is zero in every pivot column) are
 canonical, so none depends on the blocking; only which basis of the span
-`Echelon.basis_rows` returns does. Inputs and outputs are int64 arrays of
+`Echelon.basis_rows` returns does. Input rows must hold integers, under
+the rule of `PrimeField.reduce` (a float only when integral, anything else
+a ValueError), and are reduced mod p; outputs are int64 arrays of
 canonical residues.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .field import int64_entries
 
 __all__ = [
     "active_backend",
@@ -72,28 +86,45 @@ def _mod(x, p):
 
 def _rref(a, p):
     # In-place reduced row echelon form of a small float64 panel, one pivot
-    # column at a time; every intermediate stays below p**2 < 2**32, so the
-    # float arithmetic is exact. Any nonzero entry may serve as the pivot,
-    # since the result is unique. Columns that are zero in every row stay
-    # zero; past tiny panels they are skipped up front. Returns (rank,
-    # pivot columns).
+    # column at a time; each step is reduced mod p, so every intermediate
+    # stays below p**2 < 2**32 and the float arithmetic is exact. Any nonzero
+    # entry may serve as the pivot, since the result is unique. Returns
+    # (rank, pivot columns).
     rows, cols = a.shape
     piv = []
     r = 0
-    candidates = a.any(axis=0).nonzero()[0].tolist() if a.size >= 64 else range(cols)
-    for c in candidates:
+    # Below 64 cells the numpy calls that skip work cost more than the work
+    # they skip, so a tiny panel probes every column and updates every row.
+    big = a.size >= 64
+    # Columns still to probe: those nonzero in some row r.. when listed.
+    # Once a probe finds a column zero below row r, every column up to it
+    # is too, so the list is rebuilt from the columns right of it.
+    candidates = a.any(axis=0).nonzero()[0].tolist() if big else list(range(cols))
+    i = 0
+    while i < len(candidates):
+        c = candidates[i]
+        i += 1
         sel = r + int(a[r:, c].argmax())
         if a[sel, c] == 0:
+            if big:
+                candidates = (a[r:, c + 1 :].any(axis=0).nonzero()[0] + (c + 1)).tolist()
+                i = 0
             continue
+        # Rows r.. are zero left of c, so only columns c.. change.
         if sel != r:
-            a[[r, sel]] = a[[sel, r]]
+            tail = a[r, c:].copy()
+            a[r, c:] = a[sel, c:]
+            a[sel, c:] = tail
         v = int(a[r, c])
         if v != 1:
             a[r, c:] = _mod(a[r, c:] * pow(v, -1, p), p)
         f = a[:, c].copy()
         f[r] = 0
-        if np.count_nonzero(f):
-            # Row r is zero left of c, so only columns c.. change.
+        hit = f.nonzero()[0]
+        if big and 2 * len(hit) < rows:
+            if len(hit):  # update and reduce only the rows to clear
+                a[hit, c:] = _mod(a[hit, c:] - f[hit, None] * a[r, c:], p)
+        elif len(hit):
             a[:, c:] -= f[:, None] * a[r, c:]
             _mod(a[:, c:], p)
         piv.append(c)
@@ -151,7 +182,8 @@ def active_backend() -> str:
 
 
 def _as_matrix(rows, p) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64, copy=True, order="C")
+    # A fresh C-contiguous int64 array of canonical residues.
+    a = np.array(int64_entries(rows), order="C")
     if a.ndim != 2:
         raise ValueError("expected a 2-dimensional array of rows")
     np.mod(a, p, out=a)
@@ -211,7 +243,7 @@ class Echelon:
 
         Stops consuming once `stop_rank` is reached. With consume=True the
         caller hands over ownership of a fresh C-contiguous int64 residue
-        array, which may be destroyed.
+        array, which may be destroyed and is not checked.
         """
         if not consume:
             rows = _as_matrix(rows, self.p)

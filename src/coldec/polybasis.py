@@ -213,7 +213,11 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
             f"{size} coefficients, got shape {f.shape}"
         )
     inv = monomial_basis(nvars, degree + 1).divisor_maps()
-    return (form @ np.concatenate((f, [0]))[inv]) % p
+    padded = np.zeros(size + 1, np.int64)
+    padded[:size] = f
+    out = form @ padded[inv]
+    out %= p
+    return out
 
 
 def product_of_linear_forms(forms, p: int) -> np.ndarray:

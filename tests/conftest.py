@@ -1,12 +1,23 @@
-"""Shared fixtures: a worked demo code and a seeded random-code factory."""
+"""Shared fixtures: a worked demo code and a seeded random-code factory.
+
+HYPOTHESIS_PROFILE=ci selects the `ci` hypothesis profile: examples are
+derived from each test's name, so a failure in CI reproduces anywhere, and
+there is no per-example deadline for a slow runner to trip.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coldec import LinearCode, PrimeField
 from coldec.kernels import rank_of_rows
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # A [6,3] binary code with minimum distance 3 and a received word one flip
 # away from a codeword; every hand-checked value in the tests refers to it.

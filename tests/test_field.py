@@ -41,7 +41,8 @@ def test_reduce_accepts_only_integral_entries():
     assert F.reduce(np.array([-1.0, 7.0])).tolist() == [4, 2]
     assert F.reduce([True, False]).tolist() == [1, 0]
     assert F.reduce(np.array([9], np.uint8)).tolist() == [4]
-    for bad in ([0.9, 1], [np.nan], [np.inf], [1e30], ["1"], [2**70]):
+    too_big = np.array([2**64 - 1], np.uint64)
+    for bad in ([0.9, 1], [np.nan], [np.inf], [1e30], ["1"], [2**70], too_big):
         with pytest.raises(ValueError):
             F.reduce(bad)
 

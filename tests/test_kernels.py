@@ -100,6 +100,104 @@ def test_blocked_kernel_matches_reference_across_panels(p):
         assert not acc.reduce(members).any()
 
 
+def _echelon_panel(rng, p, rows, cols, pivots):
+    # A rows x cols matrix of rank len(pivots) with exactly those pivot
+    # columns: random combinations of an echelon form that is one at each
+    # pivot, zero left of it and random right of it. Every column between
+    # two pivots is zero below the current row once the pivots left of it
+    # are taken, so the pivot loop rebuilds its candidate list at each gap.
+    R = np.zeros((len(pivots), cols), np.int64)
+    for i, c in enumerate(pivots):
+        R[i, c] = 1
+        R[i, c + 1 :] = rng.integers(0, p, size=cols - c - 1)
+    while True:
+        L = rng.integers(0, p, size=(rows, len(pivots)))
+        if kernels.rank_of_rows(L.T, p) == len(pivots):
+            return L @ R % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_pivot_loop_branches_match_reference(p):
+    # Panels aimed at each branch of the residue's pivot loop, checked bit
+    # for bit against the loop reference through every public surface.
+    rng = np.random.default_rng(97 + p)
+    cases = []
+    # Tall 64-row panels of residue rank far below 64: pivots separated by
+    # gaps of dependent columns (one or many candidate-list rebuilds), and
+    # a band of all-zero columns that is never a candidate.
+    for pivots in ([0, 5, 30, 31, 80, 150, 151, 200], [3, 4, 5, 6], [17], list(range(0, 210, 7))):
+        a = _echelon_panel(rng, p, 64, 210, pivots)
+        a[:, 100:120] = 0
+        cases.append(a)
+    # Sparse rows under dense ones: early pivot columns are nonzero in more
+    # than half the rows (the whole-panel update), later ones in fewer (the
+    # update of just the rows to clear).
+    a = rng.integers(0, p, size=(64, 120))
+    a[24:] *= rng.random((40, 120)) < 0.05
+    cases.append(a)
+    a = rng.integers(0, p, size=(64, 90)) * (rng.random((64, 90)) < 0.1)
+    cases.append(a)
+    # Panels below 64 cells, dense and low-rank, including a single row or
+    # column.
+    for rows, cols in [(1, 5), (5, 1), (3, 7), (7, 9), (9, 7), (4, 15)]:
+        cases.append(rng.integers(0, p, size=(rows, cols)))
+        cases.append(_echelon_panel(rng, p, rows, cols, [min(1, cols - 1)]))
+    for a in cases:
+        rows, cols = a.shape
+        members = rng.integers(0, p, size=(2, rows)) @ a % p
+        extra = np.vstack([rng.integers(0, p, size=(3, cols)), members])
+        _check_against_reference(a, p, [rows], extra)
+        half = rows // 2
+        _check_against_reference(a, p, [half, rows - half], extra)
+
+
+def _reference_insert(basis, pivrow, rank, rows, p, stop):
+    # The loop reference of Echelon.insert(rows, stop_rank=stop). Where the
+    # stop falls inside a panel, the kernel keeps the first rows of that
+    # panel's reduced residue, which are canonical; so does this.
+    cols = rows.shape[1]
+    for lo in range(0, rows.shape[0], kernels._PANEL):
+        if rank >= stop:
+            break
+        panel = rows[lo : lo + kernels._PANEL].copy()
+        _reduce_rows_loops(basis, pivrow, panel, p)
+        _rref_loops(panel, p)
+        keep = panel[: stop - rank]
+        rank = _echelon_insert_loops(basis, pivrow, rank, keep, p, cols)
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_stop_rank_mid_panel_matches_reference(p):
+    # A first block goes in whole, then a second with a stop that falls in
+    # its first or its second 64-row panel. Rank, pivot columns and the
+    # residues of further rows must equal the reference's.
+    rng = np.random.default_rng(211 + p)
+    cols = 90
+    a = rng.integers(0, p, size=(150, cols))
+    low = _echelon_panel(rng, p, 150, cols, [2, 9, 10, 40, 41, 42, 70, 88])
+    for rows, first in ((a, 10), (a, 0), (low, 3)):
+        full = kernels.rank_of_rows(rows, p)
+        prefix = kernels.rank_of_rows(rows[:first], p) if first else 0
+        extra = rng.integers(0, p, size=(6, cols))
+        for stop in sorted({prefix + 1, (prefix + full) // 2, full - 1, full}):
+            if not prefix < stop <= full:
+                continue
+            acc = kernels.Echelon(cols, p)
+            acc.insert(rows[:first])
+            got = acc.insert(rows[first:], stop_rank=stop)
+            ref_basis = np.zeros((cols, cols), np.int64)
+            ref_pivrow = np.full(cols, -1, np.int64)
+            ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, 0, rows[:first].copy(), p, cols)
+            ref_rank = _reference_insert(ref_basis, ref_pivrow, ref_rank, rows[first:], p, stop)
+            ref_reduced = extra.copy()
+            _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
+            case = (p, first, stop)
+            assert got == acc.rank == ref_rank == stop, case
+            assert acc.basis_rows()[1] == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
+            assert acc.reduce(extra).tolist() == ref_reduced.tolist(), case
+
+
 @pytest.mark.parametrize("stop", [1, 37, 64, 65, 99])
 def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
     # A full-rank 150 x 100 matrix over GF(3); the target rank falls inside
@@ -118,6 +216,56 @@ def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
     assert kernels.rank_of_rows(np.vstack([a, basis]), p) == 100  # from the span
     assert acc.insert(a) == 100  # without a stop the rest goes in
     assert kernels.rank_of_rows(a, p, stop_rank=stop) == stop
+
+
+ENTRY_POINTS = {
+    "rref_array": lambda rows: kernels.rref_array(rows, 3),
+    "rank_of_rows": lambda rows: kernels.rank_of_rows(rows, 3),
+    "Echelon.insert": lambda rows: kernels.Echelon(2, 3).insert(rows),
+    "Echelon.reduce": lambda rows: _seeded_echelon().reduce(rows),
+}
+
+
+def _seeded_echelon():
+    acc = kernels.Echelon(2, 3)
+    acc.insert([[1, 2]])
+    return acc
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_non_integral_rows(entry):
+    # The rule of PrimeField.reduce: fractions, non-finite or out-of-range
+    # floats, strings and objects raise instead of being truncated.
+    call = ENTRY_POINTS[entry]
+    bad = (
+        [[0.9, 1.5], [2.2, 1]],
+        np.array([[0.5, 0.5]]),
+        [[0.7, 0.2]],
+        [[np.nan, 1]],
+        [[np.inf, 0]],
+        [[2.0**63, 0]],
+        np.array([["1", "2"]]),
+        [[2**70, 1]],
+        np.array([[2**63, 0]], np.uint64),
+    )
+    for rows in bad:
+        with pytest.raises(ValueError, match="integers"):
+            call(rows)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_accept_integral_rows_of_any_type(entry):
+    def plain(result):
+        if isinstance(result, tuple):
+            return tuple(plain(x) for x in result)
+        return result.tolist() if isinstance(result, np.ndarray) else result
+
+    call = ENTRY_POINTS[entry]
+    want = plain(call(np.array([[4, -1], [2, 1]])))
+    same = ([[4.0, -1.0], [2.0, 1.0]], [[4, -1], [2, 1]], np.array([[4, -1], [2, 1]], np.int8))
+    for rows in same:
+        assert plain(call(rows)) == want, rows
+    assert plain(call([[True, False]])) == plain(call([[1, 0]]))
 
 
 def test_exactness_guard_refuses_too_wide_pieces():
