@@ -282,6 +282,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one coldec command line; returns the exit code documented above.
+
+    `argv` defaults to sys.argv[1:]. Invalid input exits 4 and internal
+    failures exit 5, each with a one-line message on stderr.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -297,7 +302,8 @@ def main(argv=None) -> int:
         return 5
 
 
-def entry():  # console-script wrapper
+def entry():
+    """Console-script entry point: exit with `main`'s code."""
     sys.exit(main())
 
 

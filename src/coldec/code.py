@@ -49,10 +49,10 @@ class LinearCode:
 
     def __init__(self, field: PrimeField, generator):
         G = MatrixGF(field, generator)
-        k, n = G.shape
+        k, n = G.a.shape
         if not 1 <= k <= n:
-            raise ValueError(f"generator matrix shape {G.shape} needs 1 <= k <= n")
-        if kernels.rank_of_rows(G.a, field.p, stop_rank=k) != k:
+            raise ValueError(f"generator matrix shape {G.a.shape} needs 1 <= k <= n")
+        if kernels.rank_of_rows(G.a, field.p) != k:
             raise ValueError("generator matrix rows are linearly dependent")
         self.field = field
         self.G = G
@@ -60,11 +60,11 @@ class LinearCode:
 
     @property
     def n(self) -> int:
-        return self.G.cols
+        return self.G.a.shape[1]
 
     @property
     def k(self) -> int:
-        return self.G.rows
+        return self.G.a.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
@@ -94,7 +94,7 @@ class LinearCode:
         Returns (True, message) with message @ G = v, or (False, None).
         """
         v = self._vector(v, self.n, "word")
-        witness = solve(self.G.transpose(), v)
+        witness = solve(self.field, self.G.a.T, v)
         if witness is None:
             return False, None
         return True, witness

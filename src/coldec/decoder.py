@@ -31,6 +31,8 @@ __all__ = ["DecodeStatus", "DecodeResult", "classify", "decode"]
 
 
 class DecodeStatus(str, Enum):
+    """How a word decoded; the value is its form in JSON and CSV output."""
+
     IN_CODE = "in_code"
     CORRECTED = "corrected"
     AMBIGUOUS = "ambiguous"

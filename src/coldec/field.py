@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FieldMismatchError", "PrimeField", "is_prime"]
-
-
-class FieldMismatchError(ValueError):
-    """Raised when elements of two different prime fields are combined."""
+__all__ = ["PrimeField", "is_prime"]
 
 
 def is_prime(p: int) -> bool:

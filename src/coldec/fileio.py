@@ -1,7 +1,9 @@
 """Text formats for codes, words, and decode results.
 
 Code file: a header line ``p k n`` followed by k lines of n integers in
-[0, p), whitespace-separated. Lines starting with ``#`` are comments;
+[0, p), whitespace-separated. An integer is written in ASCII decimal
+digits with an optional sign; anything else, such as ``1_1`` or
+non-ASCII digits, is a FormatError. Lines starting with ``#`` are comments;
 blank lines are ignored. Word file: one line of n integers in [0, p).
 Serializing and re-parsing a code reproduces it exactly.
 
@@ -15,6 +17,7 @@ column) are the only non-deterministic fields.
 from __future__ import annotations
 
 import json
+import re
 
 from .code import LinearCode
 from .decoder import DecodeResult
@@ -45,17 +48,21 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_tokens(line: str, what: str) -> list[int]:
     out = []
     for tok in line.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"{what}: {tok!r} is not an integer") from None
+        # int() alone would also take "1_1" and non-ASCII digits.
+        if not _INT_TOKEN.fullmatch(tok):
+            raise FormatError(f"{what}: {tok!r} is not an integer")
+        out.append(int(tok))
     return out
 
 
 def parse_code_text(text: str) -> LinearCode:
+    """Parse the text of a code file; FormatError when it is malformed."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("code file is empty")
@@ -87,11 +94,13 @@ def parse_code_text(text: str) -> LinearCode:
 
 
 def load_code(path: str) -> LinearCode:
+    """Read and parse a UTF-8 code file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_code_text(fh.read())
 
 
 def code_to_text(C: LinearCode) -> str:
+    """The code-file text of C; `parse_code_text` reads it back unchanged."""
     lines = [f"{C.field.p} {C.k} {C.n}"]
     for row in C.G.a:
         lines.append(" ".join(str(int(x)) for x in row))
@@ -99,6 +108,7 @@ def code_to_text(C: LinearCode) -> str:
 
 
 def parse_word_text(text: str, C: LinearCode):
+    """Parse a word file's text as a word of C; FormatError when malformed."""
     lines = _content_lines(text)
     if len(lines) != 1:
         raise FormatError(f"word file must hold exactly one data line, found {len(lines)}")
@@ -113,6 +123,7 @@ def parse_word_text(text: str, C: LinearCode):
 
 
 def load_word(path: str, C: LinearCode):
+    """Read and parse a UTF-8 word file for the code C."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_word_text(fh.read(), C)
 
@@ -127,6 +138,10 @@ def result_to_json(
     elapsed_ms: float,
     oracle_agrees: bool | None = None,
 ) -> str:
+    """One line of decode JSON for `result`, in the key order above.
+
+    `oracle_agrees`, when given, is appended as a last key.
+    """
     out: dict = {"status": result.status.value, "p": C.field.p, "n": C.n, "k": C.k}
     out["d"] = result.d
     if result.d_w is not None:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .field import PrimeField
+from .field import PrimeField, int64_entries
 from .linalg import MatrixGF, preimage_of_colspace
 from .polybasis import (
     checked_binomial,
@@ -75,7 +75,7 @@ class LinearFormSpace:
     __slots__ = ("field", "nvars", "basis")
 
     def __init__(self, field: PrimeField, nvars: int, rows):
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, nvars)
+        rows = int64_entries(rows).reshape(-1, nvars)
         r, rank, _ = kernels.rref_array(rows, field.p) if rows.shape[0] else (rows, 0, None)
         basis = r[:rank].copy()
         basis.flags.writeable = False
@@ -366,15 +366,12 @@ def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
             f"degree mismatch: forms times x_{var}^{u} land in degree {u + 1}, "
             f"below the generating degree {ideal.gen_degree}"
         )
-    field = ideal.field
-    rows, rank = ideal.piece(u + 1)
-    size = monomial_basis(ideal.nvars, u + 1).size
-    a = MatrixGF(field, rows.T if rank else np.zeros((size, 0), np.int64))
+    rows, _ = ideal.piece(u + 1)
     targets = monomial_basis(ideal.nvars, 1).power_maps(u)[var]
-    b = np.zeros((size, ideal.nvars), np.int64)
+    b = np.zeros((rows.shape[1], ideal.nvars), np.int64)
     b[targets, np.arange(ideal.nvars)] = 1
-    basis = preimage_of_colspace(a, MatrixGF(field, b))
-    return LinearFormSpace(field, ideal.nvars, basis)
+    basis = preimage_of_colspace(ideal.field, rows.T, b)
+    return LinearFormSpace(ideal.field, ideal.nvars, basis)
 
 
 def point_from_forms(space: LinearFormSpace) -> ProjectivePoint:
@@ -390,28 +387,22 @@ def point_from_forms(space: LinearFormSpace) -> ProjectivePoint:
     return ProjectivePoint(space.field, ns[0])
 
 
-def _point_evaluation(field: PrimeField, point: ProjectivePoint, m: int) -> np.ndarray:
-    """Values of the degree-m monomials at the point, as a vector."""
-    exps = monomial_basis(point.coords.shape[0], m).exponents()
-    vals = np.ones(exps.shape[0], np.int64)
-    for v in range(exps.shape[1]):
-        c = int(point.coords[v])
-        col = exps[:, v]
-        powers = np.ones(exps.shape[0], np.int64)
-        for e in range(1, int(col.max()) + 1 if exps.shape[0] else 0):
-            powers = np.where(col >= e, (powers * c) % field.p, powers)
-        vals = (vals * powers) % field.p
-    return vals
+def _inside(basis: np.ndarray, rows: np.ndarray, p: int) -> bool:
+    """Whether every row lies in the span of the rows of `basis`."""
+    acc = kernels.Echelon(basis.shape[1], p)
+    acc.insert(basis)
+    return not acc.reduce(rows).any()
 
 
 def verify_saturation_identity(ideal: IdealPiece, space: LinearFormSpace) -> bool:
     """Check that the ideal's generating piece equals the point ideal's piece.
 
-    `space` must cut out a single projective point P; its homogeneous
-    vanishing ideal has graded pieces of codimension exactly 1. The check
-    is two-sided: the ideal's generating piece must have that rank and all
-    its basis rows must vanish at P, which together force equality of the
-    two pieces.
+    `space` must cut out a single projective point P. Its forms generate
+    the homogeneous vanishing ideal of P, whose degree-g piece (g =
+    gen_degree) is spanned by the degree-(g-1) multiples of those forms
+    and has codimension exactly 1. The check is two-sided: the ideal's
+    generating piece must have that rank and lie inside that piece, which
+    together force equality of the two pieces.
     """
     if space.field != ideal.field or space.nvars != ideal.nvars:
         raise ValueError("form space and ideal live in different rings")
@@ -421,9 +412,8 @@ def verify_saturation_identity(ideal: IdealPiece, space: LinearFormSpace) -> boo
     rows, rank = ideal.piece(g)
     if rank != monomial_basis(ideal.nvars, g).size - 1:
         return False
-    point = point_from_forms(space)
-    vals = _point_evaluation(ideal.field, point, g)
-    return not ((rows @ vals) % ideal.field.p).any()
+    point_piece, _ = IdealPiece(space.field, space.nvars, 1, space.basis).piece(g)
+    return _inside(point_piece, rows, ideal.field.p)
 
 
 def verify_power_containment(ideal: IdealPiece, space: LinearFormSpace) -> bool:
@@ -432,21 +422,15 @@ def verify_power_containment(ideal: IdealPiece, space: LinearFormSpace) -> bool:
 
     This is the piece-level containment of the point ideal's power: with g
     = gen_degree, all products of g basis forms (repetition allowed) must
-    reduce to zero against the echelon basis of the ideal's degree-g
-    piece.
+    lie in the span of the ideal's degree-g piece, the same span test
+    `verify_saturation_identity` makes.
     """
     if space.field != ideal.field or space.nvars != ideal.nvars:
         raise ValueError("form space and ideal live in different rings")
     g = ideal.gen_degree
-    rows, rank = ideal.piece(g)
-    acc = kernels.Echelon(monomial_basis(ideal.nvars, g).size, ideal.field.p)
-    if rank:
-        acc.insert(rows)
+    rows, _ = ideal.piece(g)
     products = [
         product_of_linear_forms(combo, ideal.field.p)
         for combo in itertools.combinations_with_replacement(space.basis, g)
     ]
-    if not products:
-        return True
-    residues = acc.reduce(np.stack(products))
-    return not residues.any()
+    return not products or _inside(rows, np.stack(products), ideal.field.p)

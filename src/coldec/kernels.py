@@ -270,13 +270,13 @@ class Echelon:
         return rows.astype(np.int64), pivots
 
 
-def rank_of_rows(rows, p: int, stop_rank: int | None = None) -> int:
-    """Rank of a stack of rows over GF(p), with optional early exit."""
+def rank_of_rows(rows, p: int) -> int:
+    """Rank of a stack of rows over GF(p)."""
     rows = _as_matrix(rows, p)
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return 0
     acc = Echelon(rows.shape[1], p)
-    return acc.insert(rows, stop_rank=stop_rank, consume=True)
+    return acc.insert(rows, consume=True)
 
 
 def warmup():

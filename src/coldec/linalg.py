@@ -1,10 +1,13 @@
 """Dense exact linear algebra over GF(p).
 
 Nullspaces, linear solves, and column-space preimages, all read off the
-reduced row echelon forms of `kernels.rref_array`. Everything is
-deterministic: the reduced echelon form is unique whichever nonzero entry
-the kernel pivots on, canonical bases come from it, and free variables
-receive fixed conventional values.
+reduced row echelon forms of `kernels.rref_array`. `MatrixGF` wraps a
+code's generator matrix and the nullspace; `solve` and
+`preimage_of_colspace` take a field and plain integer arrays, under the
+input rule of `PrimeField.reduce`. Everything is deterministic: the
+reduced echelon form is unique whichever nonzero entry the kernel pivots
+on, canonical bases come from it, and free variables receive fixed
+conventional values.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .field import FieldMismatchError, PrimeField
+from .field import PrimeField
 
 __all__ = [
     "MatrixGF",
@@ -38,21 +41,6 @@ class MatrixGF:
         self.field = field
         self.a = arr
 
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def transpose(self) -> MatrixGF:
-        return MatrixGF(self.field, self.a.T)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixGF):
             return NotImplemented
@@ -74,51 +62,49 @@ class MatrixGF:
         array.
         """
         p = self.field.p
+        cols = self.a.shape[1]
         r, rk, piv = kernels.rref_array(self.a, p)
-        free = sorted(set(range(self.cols)).difference(piv))
-        basis = np.zeros((len(free), self.cols), np.int64)
+        free = sorted(set(range(cols)).difference(piv))
+        basis = np.zeros((len(free), cols), np.int64)
         basis[range(len(free)), free] = 1
         basis[:, piv] = (-r[:rk][:, free].T) % p
         return basis
 
 
-def solve(a: MatrixGF, b) -> np.ndarray | None:
-    """One solution x of a @ x = b, or None when the system is inconsistent.
+def solve(field: PrimeField, a, b) -> np.ndarray | None:
+    """One solution x of a @ x = b over `field`, or None when there is none.
 
-    Free variables are set to zero, so the answer is deterministic. `b` is
-    a length-rows vector.
+    `a` is a 2-D integer array and `b` a vector of length a.shape[0]. Free
+    variables are set to zero, so the answer is deterministic.
     """
-    p = a.field.p
-    b = a.field.reduce(b)
-    if b.ndim != 1 or b.shape[0] != a.rows:
-        raise ValueError(f"right-hand side must have length {a.rows}")
-    aug = np.concatenate([a.a, b[:, None]], axis=1)
-    r, rk, piv = kernels.rref_array(aug, p)
-    x = np.zeros(a.cols, np.int64)
+    a = np.asarray(a)
+    b = field.reduce(b)
+    if a.ndim != 2 or b.shape != a.shape[:1]:
+        raise ValueError(
+            f"need a 2-D matrix and a right-hand side of its row count, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    cols = a.shape[1]
+    r, _, piv = kernels.rref_array(np.concatenate([a, b[:, None]], axis=1), field.p)
+    x = np.zeros(cols, np.int64)
     for row, c in enumerate(piv):
-        if c == a.cols:
+        if c == cols:
             return None
-        x[c] = r[row, a.cols]
+        x[c] = r[row, cols]
     return x
 
 
-def preimage_of_colspace(a: MatrixGF, b: MatrixGF) -> np.ndarray:
+def preimage_of_colspace(field: PrimeField, a, b) -> np.ndarray:
     """Canonical basis of {c : b @ c lies in the column space of a}.
 
-    Both matrices must have the same number of rows. Solutions (y, c) of
-    a @ y = b @ c form the nullspace of [a | -b]; projecting them onto the
-    c-block and re-echelonizing gives a canonical basis, returned as rows
-    of shape (dim, b.cols).
+    `a` and `b` are 2-D integer arrays with the same number of rows. These
+    c are the c-blocks of the nullspace of [a | b], as a @ y + b @ c = 0
+    puts b @ c = a @ (-y) in the column space; re-echelonizing the blocks
+    gives a canonical basis, returned as rows of shape (dim, b.shape[1]).
     """
-    if not isinstance(a, MatrixGF) or not isinstance(b, MatrixGF):
-        raise TypeError("expected MatrixGF operands")
-    if a.field != b.field:
-        raise FieldMismatchError("operands live over different fields")
-    if a.rows != b.rows:
-        raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
-    p = a.field.p
-    stacked = MatrixGF(a.field, np.concatenate([a.a, (-b.a) % p], axis=1))
-    ns = stacked.nullspace()
-    proj = ns[:, a.cols :]
-    r, rk, _ = kernels.rref_array(proj, p)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ValueError(f"row-count mismatch: shapes {a.shape} and {b.shape}")
+    ns = MatrixGF(field, np.concatenate([a, b], axis=1)).nullspace()
+    r, rk, _ = kernels.rref_array(ns[:, a.shape[1] :], field.p)
     return r[:rk].copy()

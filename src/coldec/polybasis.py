@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .field import int64_entries
+
 __all__ = [
     "BinomialOverflowError",
     "checked_binomial",
@@ -85,7 +87,7 @@ class MonomialBasis:
         still to fill, there are C(r-1+t, t) of those (zero when r = 0), so
         the position is a sum of lookups in one binomial table.
         """
-        e = np.asarray(exponents, np.int64)
+        e = int64_entries(exponents)
         if (
             e.ndim != 2
             or e.shape[1] != self.nvars
@@ -222,7 +224,7 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
 
 def product_of_linear_forms(forms, p: int) -> np.ndarray:
     """Left-fold product of the rows of a nonempty (g, nvars) form array."""
-    forms = np.asarray(forms, np.int64) % p
+    forms = int64_entries(forms) % p
     if forms.ndim != 2 or forms.shape[0] == 0:
         raise ValueError("need a nonempty (g, nvars) array of linear forms")
     acc = forms[0]

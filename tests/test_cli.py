@@ -173,6 +173,11 @@ def test_malformed_inputs_exit_4(demo_files, tmp_path, capsys):
     rc, _, err = run(capsys, "mindist", str(bad))
     assert rc == 4 and "error:" in err
 
+    separated = tmp_path / "separated.word"
+    separated.write_text("0 1 1 1 0 0_0\n")
+    rc, out, err = run(capsys, "decode", code, str(separated))
+    assert rc == 4 and not out and "is not an integer" in err
+
 
 def test_count_min(demo_files, capsys):
     code, _ = demo_files

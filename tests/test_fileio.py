@@ -49,6 +49,10 @@ def test_code_roundtrip(demo_code):
         "2 2 3\n1 0 2\n0 1 1\n",  # entry out of range
         "2 2 3\n1 0 1\n2 0 2\n",  # rank-deficient after reduction
         "2 2 3\na b c\n0 1 1\n",  # non-integer tokens
+        "2 2 3\n1_1 0 1\n0 1 1\n",  # digit separator, read by int() as 11
+        "2 2 3\n1 0 1\n0 \u0661 1\n",  # Arabic-Indic digit one
+        "2 2 3\n1 0 1\n0 \uff11 1\n",  # fullwidth digit one
+        "2 2 3\n1 0 1.0\n0 1 1\n",  # decimal point
     ],
 )
 def test_parse_code_rejects_malformed(text):
@@ -59,6 +63,8 @@ def test_parse_code_rejects_malformed(text):
 def test_parse_word(demo_code):
     w = parse_word_text("# received\n0 1 1 1 0 0\n", demo_code)
     assert w.tolist() == [0, 1, 1, 1, 0, 0]
+    signed = parse_word_text("+0 1 1 1 -0 00\n", demo_code)
+    assert signed.tolist() == [0, 1, 1, 1, 0, 0]
 
 
 @pytest.mark.parametrize(
@@ -69,6 +75,9 @@ def test_parse_word(demo_code):
         "0 1 1 1 0 0\n1 0 0 0 0 0\n",  # two data lines
         "0 1 1 1 0 2\n",  # out of range
         "0 1 x 1 0 0\n",  # non-integer
+        "0 1 1 1 0 0_0\n",  # digit separator, read by int() as 0
+        "0 1 1 1 0 \u0660\n",  # Arabic-Indic digit zero
+        "0 1 1 1 0 \uff10\n",  # fullwidth digit zero
     ],
 )
 def test_parse_word_rejects_malformed(text, demo_code):

@@ -1,6 +1,8 @@
 """Graded ideal engine: pieces, Hilbert functions, degrees, colons, the
 saturation identity, and the rank criterion for minimum distance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from coldec.ideals import (
     verify_power_containment,
     verify_saturation_identity,
 )
+from coldec.linalg import MatrixGF
 from coldec.oracle import enumerate_min_distance
-from coldec.polybasis import checked_binomial
+from coldec.polybasis import checked_binomial, monomial_basis
 from conftest import random_code
 
 
@@ -47,6 +50,12 @@ class TestLinearFormSpace:
         F = PrimeField(3)
         sp = LinearFormSpace(F, 2, [[2, 1]])
         assert sp.basis.tolist() == [[1, 2]]  # normalized leading one
+
+    def test_refuses_fractions(self):
+        F = PrimeField(5)
+        with pytest.raises(ValueError):  # not truncated to [[0, 1, 0]]
+            LinearFormSpace(F, 3, [[0.5, 1.7, 0]])
+        assert LinearFormSpace(F, 3, [[1.0, True, 0]]) == LinearFormSpace(F, 3, [[1, 1, 0]])
 
 
 class TestProjectivePoint:
@@ -252,6 +261,43 @@ def test_verify_saturation_identity_fails_off_pipeline(demo_ideal):
     F = PrimeField(2)
     other = LinearFormSpace(F, 4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
     assert not verify_saturation_identity(demo_ideal, other)
+
+
+def test_verify_power_containment_fails_off_pipeline(demo_ideal):
+    # the squares of forms of a different point do not vanish at the
+    # ideal's point, so they leave its generating piece
+    F = PrimeField(2)
+    other = LinearFormSpace(F, 4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+    assert not verify_power_containment(demo_ideal, other)
+
+
+def test_verify_saturation_identity_is_the_evaluation_test():
+    # At every point P of the projective plane over GF(3) the span test
+    # agrees with the identity's definition: the generating piece has
+    # codimension 1 and all its rows vanish at P.
+    F = PrimeField(3)
+    points = [
+        P for P in itertools.product(range(3), repeat=3)
+        if any(P) and P[max(i for i in range(3) if P[i])] == 1
+    ]
+    rng = np.random.default_rng(29)
+    held = 0
+    for _ in range(12):
+        C = random_code(rng, 3, 2, 6)
+        w = rng.integers(0, 3, size=6)
+        if C.contains(w)[0]:
+            continue
+        Cw = C.augment(w)
+        I = build_ideal(Cw, min_distance(Cw) + 1)
+        rows, rank = I.piece(I.gen_degree)
+        exps = monomial_basis(3, I.gen_degree).exponents()
+        for P in points:
+            space = LinearFormSpace(F, 3, MatrixGF(F, [P]).nullspace())
+            vals = np.prod(np.array(P) ** exps, axis=1) % 3
+            expect = rank == exps.shape[0] - 1 and not (rows @ vals % 3).any()
+            assert verify_saturation_identity(I, space) == expect, (Cw.G.a.tolist(), P)
+            held += expect
+    assert held >= 3
 
 
 def test_hilbert_function_stabilizes_at_ideal_degree():

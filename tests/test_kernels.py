@@ -215,7 +215,7 @@ def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
     assert kernels.rank_of_rows(basis, p) == stop  # independent rows
     assert kernels.rank_of_rows(np.vstack([a, basis]), p) == 100  # from the span
     assert acc.insert(a) == 100  # without a stop the rest goes in
-    assert kernels.rank_of_rows(a, p, stop_rank=stop) == stop
+    assert kernels.Echelon(100, p).insert(a, stop_rank=stop) == stop  # all rows in one call
 
 
 ENTRY_POINTS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldec.field import FieldMismatchError, PrimeField
+from coldec.field import PrimeField
 from coldec.kernels import rank_of_rows, rref_array
 from coldec.linalg import MatrixGF, preimage_of_colspace, solve
 
@@ -61,53 +61,88 @@ def test_nullspace_full_rank_is_empty():
 
 
 def test_solve_unique_and_inconsistent():
-    a = M(5, [[1, 1], [0, 1]])
-    x = solve(a, [3, 2])
+    x = solve(PrimeField(5), [[1, 1], [0, 1]], [3, 2])
     assert x.tolist() == [1, 2]
-    bad = solve(M(2, [[1, 1], [1, 1]]), [0, 1])
+    bad = solve(PrimeField(2), [[1, 1], [1, 1]], [0, 1])
     assert bad is None
 
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
-    a = M(7, [[1, 2, 3]])
-    x = solve(a, [4])
+    a = np.array([[1, 2, 3]])
+    x = solve(PrimeField(7), a, [4])
     assert x.tolist() == [4, 0, 0]
-    assert (a.a @ x % 7).tolist() == [4]
+    assert (a @ x % 7).tolist() == [4]
+
+
+def test_solve_reduces_negative_entries():
+    # -1 = 4 and -3 = 2 mod 5: x + 4y = 2, y = 3 gives x = 0
+    x = solve(PrimeField(5), [[1, -1], [0, 1]], [-3, 3])
+    assert x.tolist() == [0, 3]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, 0], [0, 1]], [1, 0, 0]),  # right-hand side too long
+        ([[1, 0], [0, 1]], [[1], [0]]),  # right-hand side not a vector
+        ([1, 0], [1, 0]),  # matrix not 2-D
+        ([[0.5, 0], [0, 1]], [1, 0]),  # fractional matrix entry
+        ([[1, 0], [0, 1]], [1.5, 0]),  # fractional right-hand side
+    ],
+)
+def test_solve_refuses_bad_operands(a, b):
+    with pytest.raises(ValueError):
+        solve(PrimeField(3), a, b)
 
 
 def test_preimage_of_colspace_known_example():
     # col(A) = span{e1}; preimage of that inside col(I2) is the x-axis
-    A = M(2, [[1], [0]])
-    B = MatrixGF(PrimeField(2), np.eye(2))
-    pre = preimage_of_colspace(A, B)
+    pre = preimage_of_colspace(PrimeField(2), [[1], [0]], np.eye(2))
     assert pre.tolist() == [[1, 0]]
 
 
 def test_preimage_of_colspace_full():
     # every column of B already lies in col(A): preimage is everything
-    A = MatrixGF(PrimeField(3), np.eye(2))
-    B = M(3, [[1, 2], [0, 1]])
-    pre = preimage_of_colspace(A, B)
+    pre = preimage_of_colspace(PrimeField(3), np.eye(2), [[1, 2], [0, 1]])
     assert pre.tolist() == [[1, 0], [0, 1]]
 
 
-def test_preimage_of_colspace_refuses_mixed_fields():
-    with pytest.raises(FieldMismatchError):
-        preimage_of_colspace(M(2, [[1], [0]]), M(3, [[1, 0], [0, 1]]))
+def test_preimage_of_colspace_empty_column_space():
+    # col(A) = 0: only combinations c with B @ c = 0, here c = t * (1, 1)
+    a = np.zeros((2, 0), np.int64)
+    pre = preimage_of_colspace(PrimeField(3), a, [[1, 2], [2, 1]])
+    assert pre.tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1], [0]], [[1, 0, 0]]),  # row counts differ
+        ([1, 0], [[1, 0], [0, 1]]),  # a not 2-D
+        ([[1], [0]], [[0.5, 0], [0, 1]]),  # fractional entry
+    ],
+)
+def test_preimage_of_colspace_refuses_bad_operands(a, b):
+    with pytest.raises(ValueError):
+        preimage_of_colspace(PrimeField(3), a, b)
 
 
 def test_preimage_of_colspace_property():
     rng = np.random.default_rng(3)
     F = PrimeField(5)
     for _ in range(20):
-        A = MatrixGF(F, rng.integers(0, 5, size=(4, 3)))
-        B = MatrixGF(F, rng.integers(0, 5, size=(4, 2)))
-        pre = preimage_of_colspace(A, B)
+        A = rng.integers(0, 5, size=(4, 3))
+        B = rng.integers(0, 5, size=(4, 2))
+        pre = preimage_of_colspace(F, A, B)
         # every reported combination c satisfies B @ c in col(A)
         for c in pre:
-            target = (B.a @ c) % 5
-            aug = np.column_stack([A.a, target])
-            assert rank_of_rows(aug, 5) == rank_of_rows(A.a, 5)
+            target = (B @ c) % 5
+            aug = np.column_stack([A, target])
+            assert rank_of_rows(aug, 5) == rank_of_rows(A, 5)
+        # and the reported space is all of them: its dimension is the
+        # nullity of [A | B] minus that of A
+        nullity = 5 - rank_of_rows(np.column_stack([A, B]), 5)
+        assert pre.shape[0] == nullity - (3 - rank_of_rows(A, 5))
 
 
 @st.composite
@@ -133,7 +168,7 @@ def test_rank_transpose_and_nullity(data):
     r = rank_of_rows(m.a, p)
     assert r == rank_of_rows(m.a.T, p)
     ns = m.nullspace()
-    assert r + ns.shape[0] == m.cols
+    assert r + ns.shape[0] == m.a.shape[1]
     for row in ns:
         assert (m.a @ row % p == 0).all()
 

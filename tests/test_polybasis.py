@@ -84,6 +84,9 @@ def test_rank_validates_input():
         index_of(basis, (-1, 3))
     with pytest.raises(ValueError):
         index_of(basis, (1, 1, 0))
+    with pytest.raises(ValueError):  # not truncated to (1, 1)
+        index_of(basis, (1.5, 1.5))
+    assert basis.index([[1.0, 1.0], [True, True]]).tolist() == [1, 1]
 
 
 @given(nvars=st.integers(1, 5), degree=st.integers(0, 6))
@@ -248,6 +251,13 @@ def test_product_of_linear_forms_demo():
     assert prod.tolist() == expect.tolist()
     # one form is its own product
     assert product_of_linear_forms([[4, 1]], 3).tolist() == [1, 1]
+
+
+def test_product_of_linear_forms_refuses_fractions():
+    with pytest.raises(ValueError):  # not truncated to [[1, 2], [1, 1]]
+        product_of_linear_forms([[1.5, 2.9], [1, 1]], 5)
+    as_ints = product_of_linear_forms([[1, 2], [1, 0]], 5)
+    assert product_of_linear_forms([[1.0, 2.0], [True, False]], 5).tolist() == as_ints.tolist()
 
 
 def test_product_of_linear_forms_rejects_empty():
