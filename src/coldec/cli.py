@@ -147,12 +147,7 @@ def _cmd_decode(args) -> int:
 def _cmd_count_min(args) -> int:
     C = fileio.load_code(args.code)
     d = min_distance(C)
-    if d == C.n:
-        # Singleton forces k = 1, so I_{n+1} is the zero ideal in one
-        # variable: degree 1, the single projective codeword.
-        count = 1
-    else:
-        count = ideal_degree(build_ideal(C, d + 1))
+    count = ideals.min_weight_count(C)
     line = f"d={d} count={count}"
     if args.oracle:
         count_oracle = oracle.projective_min_weight_count(C, args.oracle_threshold)

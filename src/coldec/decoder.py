@@ -22,8 +22,9 @@ from .ideals import (
     ProjectivePoint,
     build_ideal,
     colon_linear_piece,
-    ideal_degree,
     min_distance,
+    min_weight_count,
+    min_weight_point,
     point_from_forms,
 )
 
@@ -93,11 +94,16 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     that drops below d, and d_w within the unique-decoding radius (or a
     degree-1 product ideal beyond it) yields corrected with the exact
     error vector. Degree > 1 is ambiguous (count reported, no extraction);
-    coset weight d or larger is uncorrectable.
+    coset weight d or larger is uncorrectable. The degree is the count of
+    projective minimum-weight codewords of C^w, which the distance scan of
+    classification recorded, so an ambiguous word builds no ideal.
 
     Extraction takes one colon of the product ideal by T^u, at the
     smallest power u = d_w unless `colon_power` gives u explicitly; its
-    linear piece must have dimension k, the point ideal's.
+    linear piece must have dimension k, the point ideal's. Beyond the
+    radius at u = d_w the scan's last level, which gave the count 1, is
+    that colon's dual: the point is read off its kernel vector
+    (`min_weight_point`) and no ideal is built either.
     """
     w = C._vector(w, C.n, "received word")
     if colon_power is not None:
@@ -115,21 +121,25 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
         )
     if d_w is None:
         return DecodeResult(status=DecodeStatus.UNCORRECTABLE, d=d)
-    I = build_ideal(Cw, d_w + 1)
-    if d_w > (d - 1) // 2:
-        count = ideal_degree(I)
+    beyond = d_w > (d - 1) // 2
+    if beyond:
+        count = min_weight_count(Cw)
         if count > 1:
             return DecodeResult(
                 status=DecodeStatus.AMBIGUOUS, d=d, d_w=d_w, neighbor_count=count
             )
     u = d_w if colon_power is None else colon_power
-    space = colon_linear_piece(I, C.k, u)
-    if space.dim != C.k:
-        raise RuntimeError(
-            f"colon power {u} leaves a form space of dimension {space.dim}, "
-            f"expected {C.k}; the unique-neighbor hypothesis is violated"
-        )
-    point = point_from_forms(space)
+    if beyond and colon_power is None:
+        point = min_weight_point(Cw)
+    else:
+        I = build_ideal(Cw, d_w + 1)
+        space = colon_linear_piece(I, C.k, u)
+        if space.dim != C.k:
+            raise RuntimeError(
+                f"colon power {u} leaves a form space of dimension {space.dim}, "
+                f"expected {C.k}; the unique-neighbor hypothesis is violated"
+            )
+        point = point_from_forms(space)
     if int(point.coords[C.k]) == 0:
         raise RuntimeError(
             "extracted point does not use the appended row; "

@@ -51,6 +51,8 @@ __all__ = [
     "IdealPiece",
     "build_ideal",
     "min_distance",
+    "min_weight_count",
+    "min_weight_point",
     "colon_linear_piece",
     "point_from_forms",
     "hilbert_function",
@@ -75,7 +77,12 @@ class LinearFormSpace:
     __slots__ = ("field", "nvars", "basis")
 
     def __init__(self, field: PrimeField, nvars: int, rows):
-        rows = int64_entries(rows).reshape(-1, nvars)
+        rows = int64_entries(rows)
+        if rows.ndim != 2 or rows.shape[1] != nvars:
+            raise ValueError(
+                f"linear forms in {nvars} variables need an (m, {nvars}) table, "
+                f"got shape {rows.shape}"
+            )
         r, rank, _ = kernels.rref_array(rows, field.p) if rows.shape[0] else (rows, 0, None)
         basis = r[:rank].copy()
         basis.flags.writeable = False
@@ -242,10 +249,17 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     scanned: a zero coordinate never carries weight, and every product
     through its (zero) form vanishes.
 
+    The scan stops at level d+1, the first level that is not full. Its
+    codimension HF(d+1) is the number of projective minimum-weight
+    codewords (see `ideal_degree`), and it is cached on the code next to d
+    for `min_weight_count`. When that number is 1 the level's echelon is
+    kept too, for `min_weight_point`.
+
     With an integer `cap` (at least 1) the scan also returns once level
     `cap` is full, so the result is min(d, cap) and no level above `cap` is
-    built. The value is cached on the code only when it is the exact
-    distance, that is when a level at or below the cap is not full.
+    built. The distance and the count are cached on the code only when the
+    distance is exact, that is when a level at or below the cap is not
+    full.
     """
     if cap is not None:
         cap = operator.index(cap)
@@ -271,6 +285,9 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         if not reached and buf:
             reached = acc.insert(np.stack(buf), stop_rank=target, consume=True) >= target
         if not reached:
+            C._min_count = target - acc.rank
+            if C._min_count == 1:
+                C._min_level = acc
             C._dmin = s - 1
             return C._dmin
         if s == cap:  # d >= cap; the exact value is not known, so not cached
@@ -278,6 +295,42 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         s += 1
         if s > C.n + 1:  # unreachable: products of more than n factors cannot span
             raise RuntimeError("minimum-distance scan failed to terminate")
+
+
+def min_weight_count(C: "LinearCode") -> int:
+    """Number of projective minimum-weight codewords of C.
+
+    This is the degree of the ideal of (d+1)-fold column-form products,
+    HF(d+1), which the distance scan of `min_distance` records when it
+    finds d. A distance supplied without a scan leaves no record and
+    raises ValueError: the codes that need one are too large to build
+    level d+1 for.
+    """
+    min_distance(C)
+    if C._min_count is None:
+        raise ValueError("no count was recorded: the distance was supplied")
+    return C._min_count
+
+
+def min_weight_point(C: "LinearCode") -> ProjectivePoint:
+    """The message of the single projective minimum-weight codeword of C.
+
+    Requires a count of 1 (see `min_weight_count`); raises ValueError
+    otherwise. The ideal of (d+1)-fold column-form products then has one
+    projective zero P, the point whose codeword P G has weight d, and its
+    degree-(d+1) piece is the codimension-1 space of forms vanishing at P.
+    So the kernel vector v of the level the distance scan stopped at is
+    P's evaluation vector, v[x^a] = c P^a, and P_i = v[x_i x_j^d] for any
+    j with v[x_j^(d+1)] != 0. This is the colon of the piece by x_j^d,
+    read off by duality.
+    """
+    count = min_weight_count(C)
+    if count != 1:
+        raise ValueError(f"{count} projective minimum-weight codewords, not one")
+    v = C._min_level.kernel()[0]
+    maps = monomial_basis(C.k, 1).power_maps(C._dmin)
+    j = np.flatnonzero(v[maps.diagonal()])[-1]
+    return ProjectivePoint(C.field, v[maps[j]])
 
 
 def hilbert_function(ideal: IdealPiece, m: int) -> int:

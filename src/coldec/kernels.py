@@ -269,6 +269,22 @@ class Echelon:
         rows, pivots = _by_pivot(self._basis, self._piv)
         return rows.astype(np.int64), pivots
 
+    def kernel(self) -> np.ndarray:
+        """Basis of the vectors orthogonal to every accumulated row.
+
+        One int64 row per free column f: 1 at f, minus the basis rows'
+        entries in column f at their pivots (the rows are fully reduced),
+        zero elsewhere.
+        """
+        free = np.ones(self.cols, bool)
+        free[self._piv] = False
+        free = np.flatnonzero(free)
+        ker = np.zeros((free.size, self.cols), np.int64)
+        ker[np.arange(free.size), free] = 1
+        if self.rank:
+            ker[:, self._piv] = (-self._basis[: self.rank, free].T % self.p).astype(np.int64)
+        return ker
+
 
 def rank_of_rows(rows, p: int) -> int:
     """Rank of a stack of rows over GF(p)."""

@@ -206,7 +206,13 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
     rows in one matrix-vector product. With canonical residues in f and
     the form, each entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32
     for p < 2**16, so it stays far inside int64 and is reduced once.
+    Arrays of another dtype than int64 must pass `int64_entries` and are
+    reduced mod p first; anything else raises ValueError.
     """
+    if f.dtype != np.int64:
+        f = int64_entries(f) % p
+    if form.dtype != np.int64:
+        form = int64_entries(form) % p
     nvars = form.shape[0]
     size = monomial_basis(nvars, degree).size
     if f.shape != (size,):

@@ -240,7 +240,8 @@ def test_nearest_neighbor_count_matches_oracle_randomized():
 
 def test_degree_is_read_off_the_generating_piece(demo_code, monkeypatch):
     # an ideal of g-fold products of linear forms has a linear resolution,
-    # so its degree is HF(g) and no piece above g is eliminated
+    # so its degree is HF(g) and no piece above g is eliminated; a decode
+    # reads that value off the distance scan of C^w instead
     asked = []
     real = ideals.IdealPiece.piece
 
@@ -254,9 +255,13 @@ def test_degree_is_read_off_the_generating_piece(demo_code, monkeypatch):
     asked.clear()
     res = decode(demo_code, [1, 1, 0, 1, 0, 0])
     assert res.status is DecodeStatus.AMBIGUOUS and res.neighbor_count == 3
-    assert asked == [3]
-    # beyond the radius the count and the colon share the one cached piece
+    assert asked == []
+    # beyond the radius the point is read off the same scan, and only an
+    # explicit colon power takes the colon of the product ideal
     asked.clear()
-    res = decode(LinearCode(PrimeField(2), [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]), [1, 0, 0, 0, 0])
-    assert res.status is DecodeStatus.CORRECTED
-    assert asked == [2, 2]
+    C = LinearCode(PrimeField(2), [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
+    res = decode(C, [1, 0, 0, 0, 0])
+    assert res.status is DecodeStatus.CORRECTED and res.colon_power == res.d_w == 1
+    assert asked == []
+    assert decode(C, [1, 0, 0, 0, 0], colon_power=1).point == res.point
+    assert asked == [2]

@@ -18,12 +18,14 @@ from coldec.ideals import (
     colon_linear_piece,
     hilbert_function,
     ideal_degree,
+    min_weight_count,
+    min_weight_point,
     point_from_forms,
     verify_power_containment,
     verify_saturation_identity,
 )
 from coldec.linalg import MatrixGF
-from coldec.oracle import enumerate_min_distance
+from coldec.oracle import enumerate_min_distance, projective_min_weight_count
 from coldec.polybasis import checked_binomial, monomial_basis
 from conftest import random_code
 
@@ -56,6 +58,14 @@ class TestLinearFormSpace:
         with pytest.raises(ValueError):  # not truncated to [[0, 1, 0]]
             LinearFormSpace(F, 3, [[0.5, 1.7, 0]])
         assert LinearFormSpace(F, 3, [[1.0, True, 0]]) == LinearFormSpace(F, 3, [[1, 1, 0]])
+
+    def test_refuses_tables_of_another_width(self):
+        F = PrimeField(5)
+        with pytest.raises(ValueError, match="table"):  # not re-cut into three forms
+            LinearFormSpace(F, 2, [[1, 2, 3], [4, 0, 1]])
+        with pytest.raises(ValueError, match="table"):  # not re-cut into two forms
+            LinearFormSpace(F, 3, [1, 2, 3, 4, 0, 1])
+        assert LinearFormSpace(F, 3, np.zeros((0, 3), np.int64)).dim == 0
 
 
 class TestProjectivePoint:
@@ -175,6 +185,78 @@ def test_capped_stop_on_a_full_level_caches_nothing(demo_code):
     assert C._dmin is None
     assert min_distance(C) == enumerate_min_distance(C) == 3
     assert C._dmin == 3
+
+
+def test_min_weight_count_is_recorded_by_the_scan():
+    rng = np.random.default_rng(13)
+    codes = [
+        LinearCode(PrimeField(3), [[1, 0, 2, 1, 0], [0, 1, 1, 2, 0]]),  # a zero column
+        LinearCode(PrimeField(5), [[1, 2, 3, 4]]),  # k = 1, d = n
+        LinearCode(PrimeField(2), [[1, 1, 0]]),  # k = 1 with a zero column: d < n
+    ]
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            k = int(rng.integers(1, 4))
+            codes.append(random_code(rng, p, k, int(rng.integers(k + 1, 9))))
+    for C in codes:
+        d = min_distance(C)
+        assert C._min_count is not None
+        want = projective_min_weight_count(C)
+        assert min_weight_count(C) == want, C.G.a.tolist()
+        if d < C.n:
+            assert ideal_degree(build_ideal(C, d + 1)) == want
+
+
+def test_capped_min_distance_records_no_count(demo_code):
+    C = LinearCode(demo_code.field, demo_code.G.a)  # d = 3, four weight-3 codewords
+    assert min_distance(C, cap=3) == 3
+    assert C._min_count is None
+    assert min_weight_count(C) == 4
+    assert C._dmin == 3 and C._min_count == 4
+
+
+def test_min_weight_count_of_a_supplied_distance_is_refused(demo_code):
+    # no scan ran, so there is no level d+1 to read the count off
+    C = LinearCode(demo_code.field, demo_code.G.a)
+    C._dmin = 3
+    with pytest.raises(ValueError, match="supplied"):
+        min_weight_count(C)
+    K = LinearCode(PrimeField(5), [[1, 2, 3, 4]])  # k = 1, d = n
+    K._dmin = 4
+    with pytest.raises(ValueError, match="supplied"):
+        min_weight_count(K)
+
+
+def test_min_weight_point_is_the_colon_point():
+    # with one projective minimum-weight codeword, the point read off the
+    # scan's last level is the one the colon of that level extracts
+    rng = np.random.default_rng(29)
+    seen = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(25):
+            k = int(rng.integers(1, 4))
+            C = random_code(rng, p, k, int(rng.integers(k + 1, 9)))
+            d = min_distance(C)
+            if min_weight_count(C) != 1:
+                with pytest.raises(ValueError, match="not one"):
+                    min_weight_point(C)
+                continue
+            seen += 1
+            P = min_weight_point(C)
+            codeword = (P.coords @ C.G.a) % p
+            assert np.count_nonzero(codeword) == d == enumerate_min_distance(C)
+            if d < C.n:
+                j = int(np.flatnonzero(P.coords)[-1])
+                space = colon_linear_piece(build_ideal(C, d + 1), j, d)
+                assert point_from_forms(space) == P
+    assert seen >= 20
+
+
+def test_min_weight_point_of_a_supplied_distance_is_refused(demo_code):
+    C = LinearCode(demo_code.field, demo_code.G.a)
+    C._dmin = 3
+    with pytest.raises(ValueError, match="supplied"):
+        min_weight_point(C)
 
 
 @pytest.mark.parametrize("cap", [0, -1])

@@ -218,6 +218,17 @@ def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
     assert kernels.Echelon(100, p).insert(a, stop_rank=stop) == stop  # all rows in one call
 
 
+@pytest.mark.parametrize("p,rows,cols", [(2, 9, 10), (3, 40, 45), (5, 70, 70), (7, 0, 6)])
+def test_kernel_is_the_orthogonal_complement(p, rows, cols):
+    a = np.random.default_rng(rows + cols).integers(0, p, size=(rows, cols))
+    acc = kernels.Echelon(cols, p)
+    acc.insert(a)
+    ker = acc.kernel()
+    assert ker.dtype == np.int64 and ker.shape == (cols - acc.rank, cols)
+    assert not ((a @ ker.T) % p).any()
+    assert kernels.rank_of_rows(ker, p) == cols - acc.rank
+
+
 ENTRY_POINTS = {
     "rref_array": lambda rows: kernels.rref_array(rows, 3),
     "rank_of_rows": lambda rows: kernels.rank_of_rows(rows, 3),

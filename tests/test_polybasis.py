@@ -225,6 +225,18 @@ def test_multiply_by_form_validates_length():
         multiply_by_form(np.zeros(5, np.int64), 2, np.array([1, 1]), 2)  # size is 3
 
 
+def test_multiply_by_form_refuses_fractions():
+    with pytest.raises(ValueError):  # not the float array [0.5, 1.5, 1.0]
+        multiply_by_form(np.array([1, 1]), 1, np.array([0.5, 1.0]), 5)
+    with pytest.raises(ValueError):
+        multiply_by_form(np.array([0.5, 1.0]), 1, np.array([1, 1]), 5)
+    want = multiply_by_form(np.array([1, 1]), 1, np.array([1, 1]), 5)
+    for f, form in (([1, 1], [1.0, 1.0]), ([1.0, 6.0], [6, 1]), ([1, 1], [True, True])):
+        got = multiply_by_form(np.array(f), 1, np.array(form), 5)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist() == [1, 2, 1]
+
+
 def test_divisor_maps_invert_the_variable_maps():
     for nvars in range(1, 6):
         for degree in range(1, 6):
