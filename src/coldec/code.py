@@ -7,6 +7,7 @@ message coordinates, and row removal is defined positionally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,7 @@ class LinearCode:
 
     def remove_row(self, j: int) -> LinearCode:
         """The [n, k-1] subcode spanned by all generator rows except row j."""
-        j = int(j)
+        j = operator.index(j)
         if not 0 <= j < self.k:
             raise ValueError(f"row index {j} out of range for k={self.k}")
         if self.k < 2:

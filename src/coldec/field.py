@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["PrimeField", "is_prime"]
@@ -31,7 +33,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        p = int(p)
+        p = operator.index(p)
         if not 2 <= p < 2**16:
             raise ValueError(f"modulus must satisfy 2 <= p < 2**16, got {p}")
         if not is_prime(p):

@@ -151,7 +151,7 @@ class IdealPiece:
     __slots__ = ("field", "nvars", "gen_degree", "gens", "_pieces")
 
     def __init__(self, field: PrimeField, nvars: int, gen_degree: int, gens):
-        gen_degree = int(gen_degree)
+        gen_degree = operator.index(gen_degree)
         if gen_degree < 1:
             raise ValueError("generators must have degree at least 1")
         size = monomial_basis(nvars, gen_degree).size
@@ -163,14 +163,14 @@ class IdealPiece:
             )
         gens.flags.writeable = False
         self.field = field
-        self.nvars = int(nvars)
+        self.nvars = operator.index(nvars)
         self.gen_degree = gen_degree
         self.gens = gens
         self._pieces: dict[int, tuple[np.ndarray, int]] = {}
 
     def piece(self, m: int):
         """Echelon basis rows and rank of the degree-m graded piece."""
-        m = int(m)
+        m = operator.index(m)
         if m < self.gen_degree:
             raise ValueError(
                 f"graded piece degree {m} is below the generating degree {self.gen_degree}"
@@ -229,7 +229,7 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     Generators appear in lexicographic order of the column subsets, one
     row per subset.
     """
-    s = int(s)
+    s = operator.index(s)
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
     count = checked_binomial(C.n, s, "generator count")
@@ -335,7 +335,7 @@ def min_weight_point(C: "LinearCode") -> ProjectivePoint:
 
 def hilbert_function(ideal: IdealPiece, m: int) -> int:
     """dim (S/I)_m, the codimension of the degree-m piece."""
-    m = int(m)
+    m = operator.index(m)
     if m < 0:
         raise ValueError("degree must be nonnegative")
     size = monomial_basis(ideal.nvars, m).size
@@ -384,7 +384,7 @@ def colon_degree(ideal: IdealPiece, var: int) -> int:
     capped at gen_degree + nvars + 4, and raises StabilizationError when
     it has not stabilized by then.
     """
-    var = int(var)
+    var = operator.index(var)
     if not 0 <= var < ideal.nvars:
         raise ValueError(f"variable index {var} out of range")
     start = max(ideal.gen_degree - 1, 0)
@@ -410,8 +410,8 @@ def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
     degree-1 coefficient vectors, x_var**u times L is a fixed injective
     index map, and membership is against the degree-(u+1) piece.
     """
-    var = int(var)
-    u = int(u)
+    var = operator.index(var)
+    u = operator.index(u)
     if not 0 <= var < ideal.nvars:
         raise ValueError(f"variable index {var} out of range")
     if u < ideal.gen_degree - 1:

@@ -11,15 +11,25 @@ rows are back-substituted into the basis by a second product. `reduce` is
 a single product, and `rref_array` is the same accumulator with its rows
 sorted by pivot column.
 
-The pivot loop over a residue of 64 cells or more probes only candidate
-columns: those nonzero below the current row when the list was made. The
-first probe that finds a column zero there rebuilds the list from the
-columns to its right, as everything to its left is zero there too. A
-pivot step touches only the columns from the pivot on; when fewer than
-half the rows are nonzero in the pivot column it updates just those rows,
-otherwise the whole panel, as it always does below 64 cells. Each step is
-reduced mod p at once: delaying that reduction inside the loop measured
-slower.
+For odd p, the pivot loop over a residue of 64 cells or more probes only
+candidate columns: those nonzero below the current row when the list was
+made. The first probe that finds a column zero there rebuilds the list
+from the columns to its right, as everything to its left is zero there
+too. A pivot step touches only the columns from the pivot on; when
+fewer than half the rows are nonzero in the pivot column it updates just
+those rows, otherwise the whole panel, as it always does below 64 cells.
+Each step is reduced mod p at once: delaying that reduction inside the
+loop measured slower.
+
+Over GF(2) the residue's pivot loop runs on bit-packed rows instead, after
+M4RI (Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 2010). Each row is
+packed by `np.packbits(..., bitorder="little")` into one Python int with
+bit j standing for column j, so its lowest set bit is its leftmost
+nonzero column. Gauss-Jordan then runs one row at a time by XOR, and the
+rows go back through `np.unpackbits` sorted by pivot column. That leaves
+the same canonical reduced form, rank and pivots as the loop above, so
+the panel blocking, the float64 products and everything downstream are
+the same for every p; only the residue's pivot loop is packed.
 
 The products run as float64 matrix multiplications through BLAS with
 delayed modular reduction: entries are canonical residues in [0, p), so a
@@ -134,6 +144,39 @@ def _rref(a, p):
     return r, piv
 
 
+def _rref_gf2(a):
+    # _rref for p = 2 on bit-packed rows: bit j of a Python int is column j,
+    # so the lowest set bit is the leftmost nonzero column. `found` maps
+    # each pivot bit to its row. An incoming row is cleared of every pivot
+    # found so far by XOR; a nonzero remainder is a new pivot row, and is
+    # cleared from the rows found before it, which keeps them fully
+    # reduced. The rows go back sorted by pivot column.
+    rows, cols = a.shape
+    packed = np.packbits(a != 0, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    found = {}
+    for start in range(0, rows * width, width):
+        x = int.from_bytes(raw[start : start + width], "little")
+        for low, y in found.items():
+            if x & low:
+                x ^= y
+        if x:
+            low = x & -x
+            for b, y in found.items():
+                if y & low:
+                    found[b] = y ^ x
+            found[low] = x
+    found = sorted(found.items())
+    k = len(found)
+    if k:
+        out = b"".join(y.to_bytes(width, "little") for _, y in found)
+        out = np.frombuffer(out, np.uint8).reshape(k, width)
+        a[:k] = np.unpackbits(out, axis=1, count=cols, bitorder="little")
+    a[k:] = 0
+    return k, [low.bit_length() - 1 for low, _ in found]
+
+
 def _eliminate(basis, piv, rows, p, stop):
     # Absorb int64 residue rows, panel by panel, into the fully reduced
     # float64 basis[:rank] whose pivot columns are the list `piv` (rank =
@@ -147,7 +190,7 @@ def _eliminate(basis, piv, rows, p, stop):
         if rank:
             panel -= panel[:, piv] @ basis[:rank]
             _mod(panel, p)
-        k, new_piv = _rref(panel, p)
+        k, new_piv = _rref_gf2(panel) if p == 2 else _rref(panel, p)
         k = min(k, stop - rank)
         if not k:
             continue

@@ -109,6 +109,13 @@ def test_remove_row(demo_code):
         single.remove_row(0)  # a code needs at least one row
 
 
+@pytest.mark.parametrize("j", [1.9, 1.0, "1"])
+def test_remove_row_index_must_be_an_integer(demo_code, j):
+    with pytest.raises(TypeError):  # not truncated to row 1
+        demo_code.remove_row(j)
+    assert demo_code.remove_row(np.int64(1)).G == demo_code.remove_row(1).G
+
+
 def test_random_codes_roundtrip_messages():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -25,6 +25,14 @@ def test_field_rejects_non_prime_or_out_of_range(bad):
         PrimeField(bad)
 
 
+@pytest.mark.parametrize("bad", [3.9, 2.5, 5.0, "5"])
+def test_field_modulus_must_be_an_integer(bad):
+    with pytest.raises(TypeError):  # 3.9 is not truncated to GF(3)
+        PrimeField(bad)
+    assert PrimeField(np.int64(5)) == PrimeField(5)
+    assert type(PrimeField(np.int64(5)).p) is int
+
+
 def test_reduce_canonicalizes():
     F = PrimeField(7)
     assert F.reduce(-1) == 6

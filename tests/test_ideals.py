@@ -277,6 +277,40 @@ def test_min_distance_cap_must_be_an_integer(demo_code, cap):
     assert min_distance(fresh, cap=np.int64(2)) == 2
 
 
+# Each public integer argument of the ideal engine, called on the worked
+# code with the integer that `x` makes of a Python int.
+INTEGER_ARGUMENTS = {
+    "build_ideal": lambda Cw, I, x: build_ideal(Cw, x(2)),
+    "IdealPiece.gen_degree": lambda Cw, I, x: IdealPiece(I.field, I.nvars, x(2), I.gens),
+    "IdealPiece.nvars": lambda Cw, I, x: IdealPiece(I.field, x(4), 2, I.gens),
+    "IdealPiece.piece": lambda Cw, I, x: I.piece(x(3)),
+    "hilbert_function": lambda Cw, I, x: hilbert_function(I, x(3)),
+    "colon_degree": lambda Cw, I, x: colon_degree(I, x(3)),
+    "colon_linear_piece.var": lambda Cw, I, x: colon_linear_piece(I, x(3), 1),
+    "colon_linear_piece.u": lambda Cw, I, x: colon_linear_piece(I, 3, x(1)),
+}
+
+
+def _plain(result):
+    if isinstance(result, IdealPiece):
+        return result.gens.tolist()
+    if isinstance(result, tuple):
+        return tuple(_plain(x) for x in result)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats(demo_augmented, demo_ideal, entry):
+    # A float is refused, not truncated (4.7 would build degree 4), even
+    # when integral; a numpy integer is accepted.
+    call = INTEGER_ARGUMENTS[entry]
+    want = _plain(call(demo_augmented, demo_ideal, int))
+    assert _plain(call(demo_augmented, demo_ideal, np.int64)) == want
+    for bad in (lambda v: v + 0.7, float, str):
+        with pytest.raises(TypeError):
+            call(demo_augmented, demo_ideal, bad)
+
+
 def test_full_rank_pieces_below_min_distance(demo_code):
     # i-fold products are linearly independent in degree i for i up to d
     k, d = demo_code.k, min_distance(demo_code)

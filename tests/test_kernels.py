@@ -1,7 +1,8 @@
 """Elimination kernels: known values, the exactness guard, and a
 differential test of the panel-blocked kernel against the loop-style
 reference in reference_kernels through every public surface (RREF, ranks,
-membership reduction, echelon bases), below and across panel sizes."""
+membership reduction, echelon bases, kernels), below and across panel
+sizes, and for GF(2) at the edges of its bit-packed rows."""
 
 import numpy as np
 import pytest
@@ -57,9 +58,17 @@ def _check_against_reference(a, p, blocks, extra):
     assert piv == tuple(ref_piv.tolist()), case
     assert pivcols == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
     assert reduced.tolist() == ref_reduced.tolist(), case
+    assert kernels.rank_of_rows(a, p) == r, case
     if r:
         stacked = np.vstack([basis, ref_basis[:ref_rank]])
         assert kernels.rank_of_rows(stacked, p) == r, case
+    # The kernel is canonical too: per free column f, 1 at f and minus the
+    # reduced rows' entries in column f at their pivots.
+    free = np.setdiff1d(np.arange(cols), ref_piv)
+    ref_ker = np.zeros((free.size, cols), np.int64)
+    ref_ker[np.arange(free.size), free] = 1
+    ref_ker[:, ref_piv] = -ref_R[:ref_r, free].T % p
+    assert acc.kernel().tolist() == ref_ker.tolist(), case
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
@@ -167,35 +176,137 @@ def _reference_insert(basis, pivrow, rank, rows, p, stop):
     return rank
 
 
+def _check_stops_against_reference(rows, first, p, extra):
+    # The first `first` rows go in whole, then the rest with a stop that
+    # falls after the first new pivot, halfway, one short of the full rank,
+    # and at it. Rank, pivot columns and the residues of `extra` must equal
+    # the reference's.
+    cols = rows.shape[1]
+    full = kernels.rank_of_rows(rows, p)
+    prefix = kernels.rank_of_rows(rows[:first], p) if first else 0
+    for stop in sorted({prefix + 1, (prefix + full) // 2, full - 1, full}):
+        if not prefix < stop <= full:
+            continue
+        acc = kernels.Echelon(cols, p)
+        acc.insert(rows[:first])
+        got = acc.insert(rows[first:], stop_rank=stop)
+        ref_basis = np.zeros((cols, cols), np.int64)
+        ref_pivrow = np.full(cols, -1, np.int64)
+        ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, 0, rows[:first].copy(), p, cols)
+        ref_rank = _reference_insert(ref_basis, ref_pivrow, ref_rank, rows[first:], p, stop)
+        ref_reduced = extra.copy()
+        _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
+        case = (p, cols, first, stop)
+        assert got == acc.rank == ref_rank == stop, case
+        assert acc.basis_rows()[1] == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
+        assert acc.reduce(extra).tolist() == ref_reduced.tolist(), case
+
+
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_stop_rank_mid_panel_matches_reference(p):
-    # A first block goes in whole, then a second with a stop that falls in
-    # its first or its second 64-row panel. Rank, pivot columns and the
-    # residues of further rows must equal the reference's.
+    # The stop falls in the second block's first or second 64-row panel.
     rng = np.random.default_rng(211 + p)
     cols = 90
     a = rng.integers(0, p, size=(150, cols))
     low = _echelon_panel(rng, p, 150, cols, [2, 9, 10, 40, 41, 42, 70, 88])
     for rows, first in ((a, 10), (a, 0), (low, 3)):
-        full = kernels.rank_of_rows(rows, p)
-        prefix = kernels.rank_of_rows(rows[:first], p) if first else 0
-        extra = rng.integers(0, p, size=(6, cols))
-        for stop in sorted({prefix + 1, (prefix + full) // 2, full - 1, full}):
-            if not prefix < stop <= full:
-                continue
-            acc = kernels.Echelon(cols, p)
-            acc.insert(rows[:first])
-            got = acc.insert(rows[first:], stop_rank=stop)
-            ref_basis = np.zeros((cols, cols), np.int64)
-            ref_pivrow = np.full(cols, -1, np.int64)
-            ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, 0, rows[:first].copy(), p, cols)
-            ref_rank = _reference_insert(ref_basis, ref_pivrow, ref_rank, rows[first:], p, stop)
-            ref_reduced = extra.copy()
-            _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
-            case = (p, first, stop)
-            assert got == acc.rank == ref_rank == stop, case
-            assert acc.basis_rows()[1] == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
-            assert acc.reduce(extra).tolist() == ref_reduced.tolist(), case
+        _check_stops_against_reference(rows, first, p, rng.integers(0, p, size=(6, cols)))
+
+
+def _invertible_gf2(rng, n):
+    # L @ U of random unit lower and upper triangular factors.
+    eye = np.eye(n, dtype=np.int64)
+    L = np.tril(rng.integers(0, 2, size=(n, n)), -1) + eye
+    U = np.triu(rng.integers(0, 2, size=(n, n)), 1) + eye
+    return L @ U % 2
+
+
+# Column counts at the edges of the packed GF(2) rows: one column, a byte
+# less one, a byte, a byte and one, the same around 64 bits, and one over
+# 128 bits.
+PACKED_COLS = [1, 7, 8, 9, 63, 64, 65, 129]
+
+
+@pytest.mark.parametrize("cols", PACKED_COLS)
+def test_gf2_packing_edges_match_reference(cols):
+    # A small panel and panels of 63, 64 and 65 rows (one short of a whole
+    # panel, a whole one, one over), each dense, of rank at most 3, and
+    # with about half its rows zero; each goes in whole and as three
+    # uneven blocks, so later blocks meet an existing basis.
+    rng = np.random.default_rng(400 + cols)
+    for rows in (5, 63, 64, 65):
+        dense = rng.integers(0, 2, size=(rows, cols))
+        thin = rng.integers(0, 2, size=(rows, 3)) @ rng.integers(0, 2, size=(3, cols)) % 2
+        holes = dense * (rng.random((rows, 1)) < 0.5)
+        for a in (dense, thin, holes):
+            members = rng.integers(0, 2, size=(2, rows)) @ a % 2
+            extra = np.vstack([rng.integers(0, 2, size=(3, cols)), members])
+            _check_against_reference(a, 2, [rows], extra)
+            third = rows // 3
+            _check_against_reference(a, 2, [third, rows - 2 * third, third], extra)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 129])
+def test_gf2_full_rank_squares_and_zero_rows_match_reference(n):
+    # Full-rank squares, alone and stacked on themselves (every row of the
+    # second copy reduces to zero), and all-zero matrices.
+    rng = np.random.default_rng(600 + n)
+    a = _invertible_gf2(rng, n)
+    extra = rng.integers(0, 2, size=(3, n))
+    R, r, piv = kernels.rref_array(a, 2)
+    assert r == n and piv == tuple(range(n))
+    assert R.tolist() == np.eye(n, dtype=np.int64).tolist()
+    _check_against_reference(a, 2, [n], extra)
+    _check_against_reference(np.vstack([a, a]), 2, [n // 2, n + n // 2, n - 2 * (n // 2)], extra)
+    zeros = np.zeros((n, n), np.int64)
+    _check_against_reference(zeros, 2, [n], extra)
+    _check_against_reference(np.vstack([zeros, a]), 2, [n, n], extra)
+
+
+@pytest.mark.parametrize("cols", [9, 64, 65, 129])
+def test_gf2_stop_rank_mid_panel_matches_reference(cols):
+    # Stops inside a packed panel, with a fifth of the rows zero.
+    rng = np.random.default_rng(700 + cols)
+    a = rng.integers(0, 2, size=(150, cols))
+    a[rng.random(150) < 0.2] = 0
+    for first in (0, 10):
+        _check_stops_against_reference(a, first, 2, rng.integers(0, 2, size=(6, cols)))
+
+
+@pytest.mark.parametrize("cols", PACKED_COLS)
+def test_gf2_packed_pivot_loop_leaves_the_panel_of_the_float_loop(cols):
+    # The whole panel, zero rows below the rank included, not only the
+    # rows that the public surfaces read.
+    rng = np.random.default_rng(800 + cols)
+    for rows in (1, 5, 64):
+        for a in (rng.integers(0, 2, size=(rows, cols)), np.zeros((rows, cols), np.int64)):
+            packed, loop = a.astype(np.float64), a.astype(np.float64)
+            assert kernels._rref_gf2(packed) == kernels._rref(loop, 2)
+            assert packed.tolist() == loop.tolist()
+
+
+def test_gf2_bool_and_integral_float_rows_match_int_rows():
+    # The same rows as bools, integral floats, and integers off the
+    # canonical residues give the same results through every surface.
+    rng = np.random.default_rng(77)
+    a = rng.integers(0, 2, size=(70, 65))
+    a[[3, 40]] = 0
+    extra = rng.integers(0, 2, size=(4, 65))
+    _check_against_reference(a, 2, [30, 40], extra)
+
+    def surfaces(rows):
+        R, r, piv = kernels.rref_array(rows, 2)
+        acc = kernels.Echelon(65, 2)
+        acc.insert(rows[:30])
+        acc.insert(rows[30:])
+        basis, pivots = acc.basis_rows()
+        return (R.tolist(), r, piv, basis.tolist(), pivots, acc.kernel().tolist(),
+                acc.reduce(extra).tolist(), kernels.rank_of_rows(rows, 2))
+
+    want = surfaces(a)
+    shifted = a + 2 * rng.integers(-3, 4, size=a.shape)
+    for rows in (a.astype(bool), a.astype(np.float64), shifted, shifted.astype(np.float64)):
+        assert surfaces(rows) == want, rows.dtype
 
 
 @pytest.mark.parametrize("stop", [1, 37, 64, 65, 99])
