@@ -46,7 +46,7 @@ class Codeword:
 class LinearCode:
     """An [n, k] linear code over GF(p) with a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "G", "_dmin", "_min_count", "_min_level")
+    __slots__ = ("field", "G", "_dmin", "_min_level")
 
     def __init__(self, field: PrimeField, generator):
         G = MatrixGF(field, generator)
@@ -58,7 +58,6 @@ class LinearCode:
         self.field = field
         self.G = G
         self._dmin = None
-        self._min_count = None
         self._min_level = None
 
     @property

@@ -5,7 +5,6 @@ Code file: a header line ``p k n`` followed by k lines of n integers in
 digits with an optional sign; anything else, such as ``1_1`` or
 non-ASCII digits, is a FormatError. Lines starting with ``#`` are comments;
 blank lines are ignored. Word file: one line of n integers in [0, p).
-Serializing and re-parsing a code reproduces it exactly.
 
 Decode results serialize to a single JSON object with a fixed key order:
 status, p, n, k, d, d_w, colon_power, error, nearest, message,
@@ -27,7 +26,6 @@ __all__ = [
     "FormatError",
     "parse_code_text",
     "load_code",
-    "code_to_text",
     "parse_word_text",
     "load_word",
     "result_to_json",
@@ -97,14 +95,6 @@ def load_code(path: str) -> LinearCode:
     """Read and parse a UTF-8 code file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_code_text(fh.read())
-
-
-def code_to_text(C: LinearCode) -> str:
-    """The code-file text of C; `parse_code_text` reads it back unchanged."""
-    lines = [f"{C.field.p} {C.k} {C.n}"]
-    for row in C.G.a:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_word_text(text: str, C: LinearCode):

@@ -77,6 +77,7 @@ class LinearFormSpace:
     __slots__ = ("field", "nvars", "basis")
 
     def __init__(self, field: PrimeField, nvars: int, rows):
+        nvars = operator.index(nvars)
         rows = int64_entries(rows)
         if rows.ndim != 2 or rows.shape[1] != nvars:
             raise ValueError(
@@ -87,7 +88,7 @@ class LinearFormSpace:
         basis = r[:rank].copy()
         basis.flags.writeable = False
         self.field = field
-        self.nvars = int(nvars)
+        self.nvars = nvars
         self.basis = basis
 
     @property
@@ -233,10 +234,8 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
     count = checked_binomial(C.n, s, "generator count")
-    size = monomial_basis(C.k, s).size
-    rows = np.zeros((count, size), np.int64)
-    for i, row in enumerate(_iter_product_rows(C.G.a.T, s, C.field.p)):
-        rows[i] = row
+    row = np.dtype((np.int64, (monomial_basis(C.k, s).size,)))
+    rows = np.fromiter(_iter_product_rows(C.G.a.T, s, C.field.p), row, count)
     return IdealPiece(C.field, C.k, s, rows)
 
 
@@ -249,15 +248,16 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     scanned: a zero coordinate never carries weight, and every product
     through its (zero) form vanishes.
 
-    The scan stops at level d+1, the first level that is not full. Its
-    codimension HF(d+1) is the number of projective minimum-weight
-    codewords (see `ideal_degree`), and it is cached on the code next to d
-    for `min_weight_count`. When that number is 1 the level's echelon is
-    kept too, for `min_weight_point`.
+    Each level's product rows are eliminated in blocks of 64, and no
+    block is read after the level fills up. The scan stops at level d+1,
+    the first level that is not full, and caches its echelon on the code
+    next to d: its codimension HF(d+1) is the number of projective
+    minimum-weight codewords (see `ideal_degree`), and its kernel carries
+    the point of `min_weight_point` when that number is 1.
 
     With an integer `cap` (at least 1) the scan also returns once level
     `cap` is full, so the result is min(d, cap) and no level above `cap` is
-    built. The distance and the count are cached on the code only when the
+    built. The distance and its level are cached on the code only when the
     distance is exact, that is when a level at or below the cap is not
     full.
     """
@@ -273,21 +273,11 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     while True:
         target = monomial_basis(C.k, s).size
         acc = kernels.Echelon(target, p)
-        buf: list[np.ndarray] = []
-        reached = False
-        for row in _iter_product_rows(forms, s, p):
-            buf.append(row)
-            if len(buf) >= 64:
-                if acc.insert(np.stack(buf), stop_rank=target, consume=True) >= target:
-                    reached = True
-                    break
-                buf.clear()
-        if not reached and buf:
-            reached = acc.insert(np.stack(buf), stop_rank=target, consume=True) >= target
-        if not reached:
-            C._min_count = target - acc.rank
-            if C._min_count == 1:
-                C._min_level = acc
+        rows = _iter_product_rows(forms, s, p)
+        while acc.rank < target and (block := list(itertools.islice(rows, 64))):
+            acc.insert(np.stack(block), consume=True)
+        if acc.rank < target:
+            C._min_level = acc
             C._dmin = s - 1
             return C._dmin
         if s == cap:  # d >= cap; the exact value is not known, so not cached
@@ -301,15 +291,16 @@ def min_weight_count(C: "LinearCode") -> int:
     """Number of projective minimum-weight codewords of C.
 
     This is the degree of the ideal of (d+1)-fold column-form products,
-    HF(d+1), which the distance scan of `min_distance` records when it
-    finds d. A distance supplied without a scan leaves no record and
-    raises ValueError: the codes that need one are too large to build
-    level d+1 for.
+    HF(d+1): the codimension of the level d+1 echelon that the distance
+    scan of `min_distance` keeps when it finds d. A distance supplied
+    without a scan leaves no level and raises ValueError: the codes that
+    need one are too large to build level d+1 for.
     """
     min_distance(C)
-    if C._min_count is None:
+    level = C._min_level
+    if level is None:
         raise ValueError("no count was recorded: the distance was supplied")
-    return C._min_count
+    return level.cols - level.rank
 
 
 def min_weight_point(C: "LinearCode") -> ProjectivePoint:

@@ -51,6 +51,8 @@ canonical residues.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .field import int64_entries
@@ -177,24 +179,22 @@ def _rref_gf2(a):
     return k, [low.bit_length() - 1 for low, _ in found]
 
 
-def _eliminate(basis, piv, rows, p, stop):
+def _eliminate(basis, piv, rows, p):
     # Absorb int64 residue rows, panel by panel, into the fully reduced
     # float64 basis[:rank] whose pivot columns are the list `piv` (rank =
-    # len(piv)), until the rank reaches `stop`. `basis` must have room for
-    # the rows gained. Returns the new rank.
-    rank = len(piv)
+    # len(piv)), until the rank reaches the column count. `basis` must have
+    # room for the rows gained. Returns the new rank.
+    rank, cols = len(piv), basis.shape[1]
     for start in range(0, rows.shape[0], _PANEL):
-        if rank >= stop:
+        if rank == cols:
             break
         panel = rows[start : start + _PANEL].astype(np.float64)
         if rank:
             panel -= panel[:, piv] @ basis[:rank]
             _mod(panel, p)
         k, new_piv = _rref_gf2(panel) if p == 2 else _rref(panel, p)
-        k = min(k, stop - rank)
         if not k:
             continue
-        new_piv = new_piv[:k]
         if rank:
             old = basis[:rank]
             old -= old[:, new_piv] @ panel[:k]
@@ -245,7 +245,7 @@ def rref_array(a, p: int):
         return m, 0, ()
     _check_exact(cols, p)
     basis, piv = np.empty((min(rows, cols), cols)), []
-    rank = _eliminate(basis, piv, m, p, cols)
+    rank = _eliminate(basis, piv, m, p)
     reduced, pivots = _by_pivot(basis, piv)
     m[:rank] = reduced
     m[rank:] = 0
@@ -263,9 +263,9 @@ class Echelon:
     """
 
     def __init__(self, cols: int, p: int):
-        _check_exact(int(cols), int(p))
-        self.cols = int(cols)
-        self.p = int(p)
+        self.cols = operator.index(cols)
+        self.p = operator.index(p)
+        _check_exact(self.cols, self.p)
         self.rank = 0
         self._cap = 0
         self._basis = np.empty((0, self.cols))
@@ -281,21 +281,19 @@ class Echelon:
             basis[: self.rank] = self._basis[: self.rank]
         self._basis, self._cap = basis, new_cap
 
-    def insert(self, rows, stop_rank: int | None = None, consume: bool = False) -> int:
+    def insert(self, rows, consume: bool = False) -> int:
         """Feed rows into the accumulator; returns the updated rank.
 
-        Stops consuming once `stop_rank` is reached. With consume=True the
-        caller hands over ownership of a fresh C-contiguous int64 residue
-        array, which may be destroyed and is not checked.
+        Rows stop being read once the rank equals `cols`, as no row can
+        add to it then. With consume=True the caller hands over ownership
+        of a fresh C-contiguous int64 residue array, which may be
+        destroyed and is not checked.
         """
         if not consume:
             rows = _as_matrix(rows, self.p)
-        if rows.shape[0] == 0:
-            return self.rank
-        stop = self.cols if stop_rank is None else min(stop_rank, self.cols)
-        if self.rank < stop:
+        if rows.shape[0] and self.rank < self.cols:
             self._ensure_capacity(rows.shape[0])
-            self.rank = _eliminate(self._basis, self._piv, rows, self.p, stop)
+            self.rank = _eliminate(self._basis, self._piv, rows, self.p)
         return self.rank
 
     def reduce(self, rows) -> np.ndarray:

@@ -4,11 +4,12 @@ Everything here enumerates all q**k codewords, exactly and without
 sampling, and refuses instances above a configurable enumeration
 threshold. Messages run in odometer order (the last coordinate increments
 fastest), so every answer and every returned listing is deterministic.
+Answers are plain ints, a {weight: count} dict and int64 arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .code import LinearCode
 __all__ = [
     "DEFAULT_THRESHOLD",
     "OracleThresholdError",
-    "WeightDistribution",
     "enumerate_min_distance",
     "weight_distribution",
     "projective_min_weight_count",
@@ -33,16 +33,6 @@ _CHUNK = 4096
 
 class OracleThresholdError(RuntimeError):
     """The requested enumeration exceeds the oracle threshold."""
-
-
-@dataclass(frozen=True)
-class WeightDistribution:
-    """Projective weight spectrum: count of scalar classes per weight."""
-
-    counts: dict
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _enumeration_size(C: LinearCode, threshold: int) -> int:
@@ -79,11 +69,13 @@ def enumerate_min_distance(C: LinearCode, threshold: int = DEFAULT_THRESHOLD) ->
     return best
 
 
-def weight_distribution(C: LinearCode, threshold: int = DEFAULT_THRESHOLD) -> WeightDistribution:
+def weight_distribution(C: LinearCode, threshold: int = DEFAULT_THRESHOLD) -> dict[int, int]:
     """Projective weight spectrum over all nonzero codewords.
 
-    Raw per-weight counts are divided by q - 1 to count scalar classes;
-    the total over all weights is (q**k - 1) // (q - 1).
+    Returns {weight: number of scalar classes of that weight}, weights in
+    increasing order and only those that occur. Raw per-weight counts are
+    divided by q - 1 to count scalar classes, so the values sum to
+    (q**k - 1) // (q - 1).
     """
     _enumeration_size(C, threshold)
     raw = np.zeros(C.n + 1, np.int64)
@@ -98,15 +90,15 @@ def weight_distribution(C: LinearCode, threshold: int = DEFAULT_THRESHOLD) -> We
             if raw[u] % q1:
                 raise RuntimeError("weight class size not divisible by q - 1")
             counts[u] = int(raw[u]) // q1
-    return WeightDistribution(counts=counts)
+    return counts
 
 
 def projective_min_weight_count(C: LinearCode, threshold: int = DEFAULT_THRESHOLD) -> int:
     """Number of scalar classes of codewords of minimum weight."""
-    dist = weight_distribution(C, threshold)
-    if not dist.counts:
+    counts = weight_distribution(C, threshold)
+    if not counts:
         raise ValueError("the zero-dimensional spectrum has no minimum weight")
-    return dist.counts[min(dist.counts)]
+    return counts[min(counts)]
 
 
 def nearest_neighbors(C: LinearCode, w, threshold: int = DEFAULT_THRESHOLD):
@@ -141,6 +133,7 @@ def count_at_distance(C: LinearCode, w, dist: int, threshold: int = DEFAULT_THRE
     Whenever this count is nonzero and `dist` is the smallest distance
     from w to the code, these are w's nearest neighbors.
     """
+    dist = operator.index(dist)
     _enumeration_size(C, threshold)
     w = C.field.reduce(np.asarray(w))
     if w.ndim != 1 or w.shape[0] != C.n:
@@ -159,7 +152,7 @@ def projective_words_of_weight(C: LinearCode, u: int, threshold: int = DEFAULT_T
     Each class is represented by the codeword whose first nonzero
     coordinate is 1; rows appear in first-seen enumeration order.
     """
-    u = int(u)
+    u = operator.index(u)
     if u < 1:
         raise ValueError("weight must be at least 1")
     _enumeration_size(C, threshold)

@@ -23,6 +23,7 @@ size would not fit raises BinomialOverflowError naming the offending
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -64,12 +65,14 @@ class MonomialBasis:
     __slots__ = ("nvars", "degree", "size", "_exps", "_maps", "_divs")
 
     def __init__(self, nvars: int, degree: int):
+        nvars = operator.index(nvars)
+        degree = operator.index(degree)
         if nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
         if degree < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
-        self.nvars = int(nvars)
-        self.degree = int(degree)
+        self.nvars = nvars
+        self.degree = degree
         self.size = checked_binomial(
             nvars + degree - 1, degree, f"monomial basis nvars={nvars}, degree={degree}"
         )
@@ -108,7 +111,7 @@ class MonomialBasis:
 
     def unrank(self, index: int) -> tuple:
         """Exponent vector at a basis position."""
-        i = int(index)
+        i = operator.index(index)
         if not 0 <= i < self.size:
             raise ValueError(f"index {i} out of range for basis of size {self.size}")
         m = self.nvars
@@ -156,7 +159,7 @@ class MonomialBasis:
         degree+u basis, of each monomial of this basis times x_v**u; every
         row is injective. Computed once per u.
         """
-        u = int(u)
+        u = operator.index(u)
         if u < 0:
             raise ValueError("power must be nonnegative")
         maps = self._maps.get(u)

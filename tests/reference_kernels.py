@@ -53,16 +53,14 @@ def _rref_loops(a, p):
     return r, piv[:r].copy()
 
 
-def _echelon_insert_loops(basis, pivrow, nbasis, rows, p, stop_rank):
+def _echelon_insert_loops(basis, pivrow, nbasis, rows, p):
     # Feed `rows` (destroyed) into a pivot-indexed echelon accumulator.
     # basis[0:nbasis] are normalized rows, pivrow[c] = basis row with pivot
     # at column c (or -1). Unused basis rows must be zero-filled. Returns
-    # the new rank; stops consuming once it reaches stop_rank.
+    # the new rank.
     rank = nbasis
     nr, cols = rows.shape
     for i in range(nr):
-        if rank >= stop_rank:
-            break
         c = 0
         while c < cols:
             v = rows[i, c]

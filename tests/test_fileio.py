@@ -8,7 +8,6 @@ import pytest
 from coldec import DecodeStatus, decode
 from coldec.fileio import (
     FormatError,
-    code_to_text,
     parse_code_text,
     parse_word_text,
     result_to_json,
@@ -28,13 +27,6 @@ def test_parse_code_skips_comments_and_blanks():
     C = parse_code_text(DEMO_TEXT)
     assert (C.field.p, C.k, C.n) == (2, 3, 6)
     assert C.G.a.tolist()[0] == [1, 0, 0, 1, 1, 0]
-
-
-def test_code_roundtrip(demo_code):
-    text = code_to_text(demo_code)
-    again = parse_code_text(text)
-    assert again.G.a.tolist() == demo_code.G.a.tolist()
-    assert again.field == demo_code.field
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coldec import LinearCode, PrimeField, min_distance
+from coldec import LinearCode, PrimeField, decode, min_distance
+from coldec.decoder import classify
 from coldec.ideals import (
     IdealPiece,
     LinearFormSpace,
@@ -200,7 +201,7 @@ def test_min_weight_count_is_recorded_by_the_scan():
             codes.append(random_code(rng, p, k, int(rng.integers(k + 1, 9))))
     for C in codes:
         d = min_distance(C)
-        assert C._min_count is not None
+        assert C._min_level is not None
         want = projective_min_weight_count(C)
         assert min_weight_count(C) == want, C.G.a.tolist()
         if d < C.n:
@@ -210,9 +211,9 @@ def test_min_weight_count_is_recorded_by_the_scan():
 def test_capped_min_distance_records_no_count(demo_code):
     C = LinearCode(demo_code.field, demo_code.G.a)  # d = 3, four weight-3 codewords
     assert min_distance(C, cap=3) == 3
-    assert C._min_count is None
+    assert C._min_level is None
     assert min_weight_count(C) == 4
-    assert C._dmin == 3 and C._min_count == 4
+    assert C._dmin == 3 and C._min_level is not None
 
 
 def test_min_weight_count_of_a_supplied_distance_is_refused(demo_code):
@@ -227,29 +228,62 @@ def test_min_weight_count_of_a_supplied_distance_is_refused(demo_code):
         min_weight_count(K)
 
 
+def _check_min_weight_point(C):
+    # The point read off the scan's last level spans the one minimum-weight
+    # codeword, and is the one the colon of that level extracts.
+    d = min_distance(C)
+    P = min_weight_point(C)
+    codeword = (P.coords @ C.G.a) % C.field.p
+    assert np.count_nonzero(codeword) == d == enumerate_min_distance(C)
+    if d < C.n:
+        j = int(np.flatnonzero(P.coords)[-1])
+        space = colon_linear_piece(build_ideal(C, d + 1), j, d)
+        assert point_from_forms(space) == P
+    return P
+
+
+def _words_within_the_radius(rng, p, count):
+    # (C, w) with 1 <= d_w <= (d-1)//2: a codeword plus t such errors.
+    while count:
+        k = int(rng.integers(2, 4))
+        C = random_code(rng, p, k, int(rng.integers(k + 4, 10)))
+        d = min_distance(C)
+        if d < 3:
+            continue
+        t = int(rng.integers(1, (d - 1) // 2 + 1))
+        w = C.encode(rng.integers(0, p, size=k)).v
+        pos = rng.choice(C.n, size=t, replace=False)
+        w[pos] = (w[pos] + rng.integers(1, p, size=t)) % p
+        yield C, w
+        count -= 1
+
+
 def test_min_weight_point_is_the_colon_point():
-    # with one projective minimum-weight codeword, the point read off the
-    # scan's last level is the one the colon of that level extracts
+    # With one projective minimum-weight codeword, the point read off the
+    # scan's last level is the one the colon of that level extracts. The
+    # inputs are random codes, whose scans run uncapped, and the augmented
+    # codes C^w of words within the unique-decoding radius, whose scans
+    # classify runs with cap=d; on those the point is also decode's.
     rng = np.random.default_rng(29)
     seen = 0
     for p in (2, 3, 5, 7):
         for _ in range(25):
             k = int(rng.integers(1, 4))
             C = random_code(rng, p, k, int(rng.integers(k + 1, 9)))
-            d = min_distance(C)
             if min_weight_count(C) != 1:
                 with pytest.raises(ValueError, match="not one"):
                     min_weight_point(C)
                 continue
             seen += 1
-            P = min_weight_point(C)
-            codeword = (P.coords @ C.G.a) % p
-            assert np.count_nonzero(codeword) == d == enumerate_min_distance(C)
-            if d < C.n:
-                j = int(np.flatnonzero(P.coords)[-1])
-                space = colon_linear_piece(build_ideal(C, d + 1), j, d)
-                assert point_from_forms(space) == P
+            _check_min_weight_point(C)
     assert seen >= 20
+    for p in (2, 3, 5, 7):
+        for C, w in _words_within_the_radius(rng, p, 4):
+            d, _, Cw, d_w = classify(C, w)
+            assert 1 <= d_w <= (d - 1) // 2
+            assert Cw._dmin == d_w and Cw._min_level is not None  # from the capped scan
+            assert min_weight_count(Cw) == 1
+            assert _check_min_weight_point(Cw) == decode(C, w).point
 
 
 def test_min_weight_point_of_a_supplied_distance_is_refused(demo_code):
@@ -288,6 +322,7 @@ INTEGER_ARGUMENTS = {
     "colon_degree": lambda Cw, I, x: colon_degree(I, x(3)),
     "colon_linear_piece.var": lambda Cw, I, x: colon_linear_piece(I, x(3), 1),
     "colon_linear_piece.u": lambda Cw, I, x: colon_linear_piece(I, 3, x(1)),
+    "LinearFormSpace.nvars": lambda Cw, I, x: LinearFormSpace(I.field, x(4), [[1, 0, 1, 1]]),
 }
 
 

@@ -46,9 +46,7 @@ def _check_against_reference(a, p, blocks, extra):
     ref_pivrow = np.full(cols, -1, np.int64)
     ref_rank = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ref_rank = _echelon_insert_loops(
-            ref_basis, ref_pivrow, ref_rank, a[lo:hi].copy(), p, cols
-        )
+        ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, ref_rank, a[lo:hi].copy(), p)
     ref_reduced = extra.copy()
     _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
 
@@ -160,57 +158,24 @@ def test_pivot_loop_branches_match_reference(p):
         _check_against_reference(a, p, [half, rows - half], extra)
 
 
-def _reference_insert(basis, pivrow, rank, rows, p, stop):
-    # The loop reference of Echelon.insert(rows, stop_rank=stop). Where the
-    # stop falls inside a panel, the kernel keeps the first rows of that
-    # panel's reduced residue, which are canonical; so does this.
-    cols = rows.shape[1]
-    for lo in range(0, rows.shape[0], kernels._PANEL):
-        if rank >= stop:
-            break
-        panel = rows[lo : lo + kernels._PANEL].copy()
-        _reduce_rows_loops(basis, pivrow, panel, p)
-        _rref_loops(panel, p)
-        keep = panel[: stop - rank]
-        rank = _echelon_insert_loops(basis, pivrow, rank, keep, p, cols)
-    return rank
-
-
-def _check_stops_against_reference(rows, first, p, extra):
-    # The first `first` rows go in whole, then the rest with a stop that
-    # falls after the first new pivot, halfway, one short of the full rank,
-    # and at it. Rank, pivot columns and the residues of `extra` must equal
-    # the reference's.
-    cols = rows.shape[1]
-    full = kernels.rank_of_rows(rows, p)
-    prefix = kernels.rank_of_rows(rows[:first], p) if first else 0
-    for stop in sorted({prefix + 1, (prefix + full) // 2, full - 1, full}):
-        if not prefix < stop <= full:
-            continue
-        acc = kernels.Echelon(cols, p)
-        acc.insert(rows[:first])
-        got = acc.insert(rows[first:], stop_rank=stop)
-        ref_basis = np.zeros((cols, cols), np.int64)
-        ref_pivrow = np.full(cols, -1, np.int64)
-        ref_rank = _echelon_insert_loops(ref_basis, ref_pivrow, 0, rows[:first].copy(), p, cols)
-        ref_rank = _reference_insert(ref_basis, ref_pivrow, ref_rank, rows[first:], p, stop)
-        ref_reduced = extra.copy()
-        _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
-        case = (p, cols, first, stop)
-        assert got == acc.rank == ref_rank == stop, case
-        assert acc.basis_rows()[1] == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
-        assert acc.reduce(extra).tolist() == ref_reduced.tolist(), case
-
-
 @pytest.mark.parametrize("p", [2, 3, 65521])
-def test_stop_rank_mid_panel_matches_reference(p):
-    # The stop falls in the second block's first or second 64-row panel.
+def test_full_rank_echelon_takes_no_more_rows(p):
+    # Once the rank equals the column count, every later insert returns it
+    # and leaves the basis as it was. Full rank falls inside the first or
+    # the second 64-row panel of the block that reaches it, or at a block's
+    # end; each later block crosses the 64-row panel edge.
     rng = np.random.default_rng(211 + p)
-    cols = 90
-    a = rng.integers(0, p, size=(150, cols))
-    low = _echelon_panel(rng, p, 150, cols, [2, 9, 10, 40, 41, 42, 70, 88])
-    for rows, first in ((a, 10), (a, 0), (low, 3)):
-        _check_stops_against_reference(rows, first, p, rng.integers(0, p, size=(6, cols)))
+    for cols, first in ((9, 5), (40, 0), (90, 10), (100, 64)):
+        acc = kernels.Echelon(cols, p)
+        acc.insert(rng.integers(0, p, size=(first, cols)))
+        while acc.rank < cols:
+            acc.insert(rng.integers(0, p, size=(70, cols)))
+        basis, piv = acc.basis_rows()
+        assert piv == tuple(range(cols)) and basis.tolist() == np.eye(cols, dtype=int).tolist()
+        for rows in (70, 130, 1):
+            assert acc.insert(rng.integers(0, p, size=(rows, cols))) == cols
+            again, again_piv = acc.basis_rows()
+            assert again_piv == piv and again.tolist() == basis.tolist()
 
 
 def _invertible_gf2(rng, n):
@@ -263,16 +228,6 @@ def test_gf2_full_rank_squares_and_zero_rows_match_reference(n):
     _check_against_reference(np.vstack([zeros, a]), 2, [n, n], extra)
 
 
-@pytest.mark.parametrize("cols", [9, 64, 65, 129])
-def test_gf2_stop_rank_mid_panel_matches_reference(cols):
-    # Stops inside a packed panel, with a fifth of the rows zero.
-    rng = np.random.default_rng(700 + cols)
-    a = rng.integers(0, 2, size=(150, cols))
-    a[rng.random(150) < 0.2] = 0
-    for first in (0, 10):
-        _check_stops_against_reference(a, first, 2, rng.integers(0, 2, size=(6, cols)))
-
-
 @pytest.mark.parametrize("cols", PACKED_COLS)
 def test_gf2_packed_pivot_loop_leaves_the_panel_of_the_float_loop(cols):
     # The whole panel, zero rows below the rank included, not only the
@@ -307,26 +262,6 @@ def test_gf2_bool_and_integral_float_rows_match_int_rows():
     shifted = a + 2 * rng.integers(-3, 4, size=a.shape)
     for rows in (a.astype(bool), a.astype(np.float64), shifted, shifted.astype(np.float64)):
         assert surfaces(rows) == want, rows.dtype
-
-
-@pytest.mark.parametrize("stop", [1, 37, 64, 65, 99])
-def test_stop_rank_lands_exactly_when_it_falls_mid_panel(stop):
-    # A full-rank 150 x 100 matrix over GF(3); the target rank falls inside
-    # the first or the second 64-row panel, after a first block of 10 rows.
-    p = 3
-    a = np.random.default_rng(5).integers(0, p, size=(150, 100))
-    assert kernels.rank_of_rows(a, p) == 100
-    acc = kernels.Echelon(100, p)
-    first = acc.insert(a[:10], stop_rank=stop)
-    assert first == min(stop, 10)
-    assert acc.insert(a[10:], stop_rank=stop) == stop
-    assert acc.rank == stop
-    basis, piv = acc.basis_rows()
-    assert basis.shape == (stop, 100) and len(piv) == stop
-    assert kernels.rank_of_rows(basis, p) == stop  # independent rows
-    assert kernels.rank_of_rows(np.vstack([a, basis]), p) == 100  # from the span
-    assert acc.insert(a) == 100  # without a stop the rest goes in
-    assert kernels.Echelon(100, p).insert(a, stop_rank=stop) == stop  # all rows in one call
 
 
 @pytest.mark.parametrize("p,rows,cols", [(2, 9, 10), (3, 40, 45), (5, 70, 70), (7, 0, 6)])
@@ -390,6 +325,33 @@ def test_entry_points_accept_integral_rows_of_any_type(entry):
     assert plain(call([[True, False]])) == plain(call([[1, 0]]))
 
 
+# Each integer argument of Echelon, with the integer that `x` makes of a
+# Python int.
+ECHELON_ARGUMENTS = {
+    "cols": lambda x: kernels.Echelon(x(4), 3),
+    "p": lambda x: kernels.Echelon(4, x(3)),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(ECHELON_ARGUMENTS))
+def test_echelon_integer_arguments_refuse_floats(arg):
+    # A float is refused, not truncated (GF(3.9) would be GF(3)), even
+    # when integral; a numpy integer is accepted.
+    make = ECHELON_ARGUMENTS[arg]
+
+    def filled(x):
+        acc = make(x)
+        acc.insert([[1, 2, 0, 1], [2, 0, 1, 1]])
+        basis, pivots = acc.basis_rows()
+        return basis.tolist(), pivots, acc.kernel().tolist()
+
+    want = filled(int)
+    assert filled(np.int64) == want
+    for bad in (lambda v: v + 0.9, float, str):
+        with pytest.raises(TypeError):
+            make(bad)
+
+
 def test_exactness_guard_refuses_too_wide_pieces():
     # p - 1 = 65520 < 2**16, so the guard admits fewer than 2**21 columns.
     with pytest.raises(ValueError, match="2\\*\\*53"):
@@ -411,15 +373,6 @@ def test_echelon_incremental_matches_batch():
     assert r == acc.rank and piv == piv2
     stacked = np.vstack([a % p, basis])
     assert kernels.rank_of_rows(stacked, p) == full_rank
-
-
-def test_echelon_stop_rank_early_exit():
-    p = 2
-    rows = np.eye(8, dtype=np.int64)
-    acc = kernels.Echelon(8, p)
-    got = acc.insert(rows, stop_rank=3)
-    assert got == 3
-    assert acc.rank == 3  # insertion stopped once the target rank was hit
 
 
 def test_reduce_membership():

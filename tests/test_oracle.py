@@ -24,16 +24,12 @@ def test_enumerate_min_distance_demo(demo_code, hamming_code):
 def test_weight_distribution_repetition():
     # [3,1] repetition over GF(3): two nonzero words, both of weight 3
     C = LinearCode(PrimeField(3), [[1, 1, 1]])
-    dist = weight_distribution(C)
-    assert dist.counts == {3: 1}  # one projective class
-    assert dist.total() == 1
+    assert weight_distribution(C) == {3: 1}  # one projective class
 
 
 def test_weight_distribution_demo(demo_code):
-    dist = weight_distribution(demo_code)
     # seven nonzero binary words: weights 3,3,3,3,4,4,4
-    assert dist.counts == {3: 4, 4: 3}
-    assert dist.total() == 7
+    assert weight_distribution(demo_code) == {3: 4, 4: 3}
 
 
 def test_projective_min_weight_count_demo(demo_code):
@@ -115,13 +111,34 @@ def test_oracle_identities_randomized():
         k = int(rng.integers(1, 4))
         n = int(rng.integers(k + 1, 8))
         C = random_code(rng, p, k, n)
-        dist = weight_distribution(C)
-        assert dist.total() == (p**k - 1) // (p - 1)
-        assert min(dist.counts) == enumerate_min_distance(C)
-        assert projective_min_weight_count(C) == dist.counts[min(dist.counts)]
+        counts = weight_distribution(C)
+        assert sum(counts.values()) == (p**k - 1) // (p - 1)
+        assert min(counts) == enumerate_min_distance(C)
+        assert projective_min_weight_count(C) == counts[min(counts)]
         w = rng.integers(0, p, size=n)
         d_w, vectors = nearest_neighbors(C, w)
         assert d_w == nearest_neighbors(C, w)[0]
         assert count_at_distance(C, w, d_w) == vectors.shape[0]
         for v in vectors:
             assert ((w - v) % p != 0).sum() == d_w
+
+
+# Each integer argument of the oracle, called on the worked code and word
+# with the integer that `x` makes of a Python int.
+INTEGER_ARGUMENTS = {
+    "count_at_distance": lambda C, w, x: count_at_distance(C, w, x(2)),
+    "projective_words_of_weight": lambda C, w, x: projective_words_of_weight(C, x(3)).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats(demo_code, demo_word, entry):
+    # A float is refused, not truncated or compared (a distance of 3.5
+    # would count no codeword), even when integral; a numpy integer is
+    # accepted.
+    call = INTEGER_ARGUMENTS[entry]
+    want = call(demo_code, demo_word, int)
+    assert call(demo_code, demo_word, np.int64) == want
+    for bad in (lambda v: v + 0.5, float, str):
+        with pytest.raises(TypeError):
+            call(demo_code, demo_word, bad)

@@ -13,6 +13,7 @@ from coldec.field import PrimeField
 from coldec.ideals import build_ideal
 from coldec.polybasis import (
     BinomialOverflowError,
+    MonomialBasis,
     checked_binomial,
     monomial_basis,
     multiply_by_form,
@@ -302,3 +303,26 @@ def test_build_ideal_rows_are_products_of_column_subsets(p):
                     want = multiply(want, degree, cols[j], 1, k, p)
                 assert row.tolist() == want.tolist()
                 assert product_of_linear_forms(cols[list(combo)], p).tolist() == want.tolist()
+
+
+# Each integer argument of a monomial basis, with the integer that `x`
+# makes of a Python int; every call builds a fresh basis, so no cached
+# basis or map answers in its place.
+INTEGER_ARGUMENTS = {
+    "MonomialBasis.nvars": lambda x: MonomialBasis(x(3), 2).exponents().tolist(),
+    "MonomialBasis.degree": lambda x: MonomialBasis(3, x(2)).exponents().tolist(),
+    "MonomialBasis.unrank": lambda x: MonomialBasis(3, 2).unrank(x(4)),
+    "MonomialBasis.power_maps": lambda x: MonomialBasis(3, 2).power_maps(x(2)).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats(entry):
+    # A float is refused, not truncated (unrank(4.7) would read position
+    # 4), even when integral; a numpy integer is accepted.
+    call = INTEGER_ARGUMENTS[entry]
+    want = call(int)
+    assert call(np.int64) == want
+    for bad in (lambda v: v + 0.7, float, str):
+        with pytest.raises(TypeError):
+            call(bad)
