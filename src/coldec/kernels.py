@@ -1,52 +1,53 @@
 """GF(p) elimination kernels.
 
-One panel-blocked elimination, after the FFLAS-FFPACK scheme (Dumas,
-Giorgi, Pernet, "Dense linear algebra over word-size prime fields", ACM
-TOMS 2008). `Echelon` keeps a fully reduced basis: every stored row is one
-at its pivot column and zero in every other stored pivot column. Incoming
-rows are consumed in panels of `_PANEL` rows; each panel is reduced
-against the basis by one matrix product, the small residue is brought to
-reduced row echelon form one pivot column at a time, and its new pivot
+`Echelon` keeps a fully reduced basis: each stored row has its leftmost
+nonzero entry, a one, at its pivot column and is zero in every other
+pivot column. `reduce` gives the residue of rows against it, and
+`rref_array` is the same accumulator with its rows sorted by pivot column.
+The interface is one; the row encoding depends on p alone.
+
+Over GF(2) the basis is bit-packed, after M4RI (Albrecht, Bard, Hart,
+"Algorithm 898", ACM TOMS 2010). Each incoming row is packed once by
+`np.packbits(..., bitorder="little")` into a Python int with bit j for
+column j. The basis keeps one such int per pivot column and the OR of the
+pivot bits, and reduces a row x in one pass by XORing in the stored row of
+each bit of x & mask; one pass is exact as each stored row is zero at the
+other pivots. A nonzero remainder becomes a new pivot row at its lowest
+set bit and is XORed out of the stored rows that have that bit. Rows are
+unpacked only when an array is asked for.
+
+For odd p the basis is float64, and rows are absorbed in panels of
+`_PANEL` after the FFLAS-FFPACK scheme (Dumas, Giorgi, Pernet, "Dense
+linear algebra over word-size prime fields", ACM TOMS 2008). A panel is
+reduced against the basis by one matrix product, its residue is brought
+to reduced row echelon form one pivot column at a time, and its new pivot
 rows are back-substituted into the basis by a second product. `reduce` is
-a single product, and `rref_array` is the same accumulator with its rows
-sorted by pivot column.
+a single product.
 
-For odd p, the pivot loop over a residue of 64 cells or more probes only
-candidate columns: those nonzero below the current row when the list was
-made. The first probe that finds a column zero there rebuilds the list
-from the columns to its right, as everything to its left is zero there
-too. A pivot step touches only the columns from the pivot on; when
-fewer than half the rows are nonzero in the pivot column it updates just
-those rows, otherwise the whole panel, as it always does below 64 cells.
-Each step is reduced mod p at once: delaying that reduction inside the
-loop measured slower.
+That pivot loop, over a residue of 64 cells or more, probes only candidate
+columns: those nonzero below the current row when the list was made. The
+first probe that finds a column zero there rebuilds the list from the
+columns to its right, as everything to its left is zero there too. A
+pivot step touches only the columns from the pivot on; when fewer than
+half the rows are nonzero in the pivot column it updates just those rows,
+otherwise the whole panel, as it always does below 64 cells. Each step is
+reduced mod p at once: delaying that reduction inside the loop measured
+slower.
 
-Over GF(2) the residue's pivot loop runs on bit-packed rows instead, after
-M4RI (Albrecht, Bard, Hart, "Algorithm 898", ACM TOMS 2010). Each row is
-packed by `np.packbits(..., bitorder="little")` into one Python int with
-bit j standing for column j, so its lowest set bit is its leftmost
-nonzero column. Gauss-Jordan then runs one row at a time by XOR, and the
-rows go back through `np.unpackbits` sorted by pivot column. That leaves
-the same canonical reduced form, rank and pivots as the loop above, so
-the panel blocking, the float64 products and everything downstream are
-the same for every p; only the residue's pivot loop is packed.
-
-The products run as float64 matrix multiplications through BLAS with
-delayed modular reduction: entries are canonical residues in [0, p), so a
-product with inner dimension at most `cols` sums at most cols*(p-1)**2,
-and every step is exact while that, plus p, stays within 2**53.
-A width with cols * 4**b >= 2**53, where 2**b is the power of two above
-p - 1, is refused with a ValueError before any elimination buffer is
-allocated. Since p < 2**16, every matrix with fewer than 2**21 columns
-passes.
+The odd-p products run through BLAS with delayed modular reduction:
+entries are canonical residues in [0, p), so a product with inner
+dimension at most `cols` sums at most cols*(p-1)**2, and every step is
+exact while that, plus p, stays within 2**53. A width with
+cols * 4**b >= 2**53, where 2**b is the power of two above p - 1, is
+refused with a ValueError before any buffer is allocated; since
+p < 2**16, fewer than 2**21 columns always pass. GF(2) has no such limit.
 
 Reduced row echelon form, rank, pivot columns and the residue of a row
 (the unique vector of row + span that is zero in every pivot column) are
-canonical, so none depends on the blocking; only which basis of the span
-`Echelon.basis_rows` returns does. Input rows must hold integers, under
-the rule of `PrimeField.reduce` (a float only when integral, anything else
-a ValueError), and are reduced mod p; outputs are int64 arrays of
-canonical residues.
+canonical, so none depends on the encoding or the blocking. Input rows
+must hold integers, under the rule of `PrimeField.reduce` (a float only
+when integral, anything else a ValueError), and are reduced mod p;
+outputs are int64 arrays of canonical residues.
 """
 
 from __future__ import annotations
@@ -146,72 +147,126 @@ def _rref(a, p):
     return r, piv
 
 
-def _rref_gf2(a):
-    # _rref for p = 2 on bit-packed rows: bit j of a Python int is column j,
-    # so the lowest set bit is the leftmost nonzero column. `found` maps
-    # each pivot bit to its row. An incoming row is cleared of every pivot
-    # found so far by XOR; a nonzero remainder is a new pivot row, and is
-    # cleared from the rows found before it, which keeps them fully
-    # reduced. The rows go back sorted by pivot column.
-    rows, cols = a.shape
-    packed = np.packbits(a != 0, axis=1, bitorder="little")
+class _FloatRows:
+    # The odd-p basis: float64 rows basis[:rank] with pivot columns `piv`
+    # (rank = len(piv)), in a buffer that grows geometrically up to `cols`
+    # rows.
+
+    __slots__ = ("p", "basis", "piv")
+
+    def __init__(self, cols, p):
+        _check_exact(cols, p)
+        self.p = p
+        self.basis = np.empty((0, cols))
+        self.piv = []
+
+    def absorb(self, rows):
+        # Eliminate canonical residue rows panel by panel until the rank
+        # reaches the column count; returns the rank.
+        basis, piv, p = self.basis, self.piv, self.p
+        rank, cols = len(piv), basis.shape[1]
+        need = min(cols, rank + rows.shape[0])
+        if need > len(basis):
+            basis = np.empty((min(cols, max(need, 2 * len(basis), 32)), cols))
+            basis[:rank] = self.basis[:rank]
+            self.basis = basis
+        for start in range(0, rows.shape[0], _PANEL):
+            if rank == cols:
+                break
+            panel = rows[start : start + _PANEL].astype(np.float64)
+            if rank:
+                panel -= panel[:, piv] @ basis[:rank]
+                _mod(panel, p)
+            k, new_piv = _rref(panel, p)
+            if not k:
+                continue
+            if rank:
+                old = basis[:rank]
+                old -= old[:, new_piv] @ panel[:k]
+                _mod(old, p)
+            basis[rank : rank + k] = panel[:k]
+            piv += new_piv
+            rank += k
+        return rank
+
+    def reduce(self, rows):
+        # Residues of canonical residue rows, at rank 1 or more.
+        red = rows - rows[:, self.piv].astype(np.float64) @ self.basis[: len(self.piv)]
+        return _mod(red, self.p).astype(np.int64)
+
+    def unpack(self):
+        # The rows ordered by pivot column, and those columns; rows that
+        # came from a single panel already are.
+        piv = self.piv
+        if piv == sorted(piv):
+            return self.basis[: len(piv)], tuple(piv)
+        return self.basis[np.argsort(piv)], tuple(sorted(piv))
+
+
+def _packed(rows):
+    # The rows of a canonical-residue GF(2) array as Python ints, bit j
+    # standing for column j.
+    packed = np.packbits(rows.astype(bool), axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
-    found = {}
-    for start in range(0, rows * width, width):
-        x = int.from_bytes(raw[start : start + width], "little")
-        for low, y in found.items():
-            if x & low:
-                x ^= y
-        if x:
-            low = x & -x
-            for b, y in found.items():
-                if y & low:
-                    found[b] = y ^ x
-            found[low] = x
-    found = sorted(found.items())
-    k = len(found)
-    if k:
-        out = b"".join(y.to_bytes(width, "little") for _, y in found)
-        out = np.frombuffer(out, np.uint8).reshape(k, width)
-        a[:k] = np.unpackbits(out, axis=1, count=cols, bitorder="little")
-    a[k:] = 0
-    return k, [low.bit_length() - 1 for low, _ in found]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _eliminate(basis, piv, rows, p):
-    # Absorb int64 residue rows, panel by panel, into the fully reduced
-    # float64 basis[:rank] whose pivot columns are the list `piv` (rank =
-    # len(piv)), until the rank reaches the column count. `basis` must have
-    # room for the rows gained. Returns the new rank.
-    rank, cols = len(piv), basis.shape[1]
-    for start in range(0, rows.shape[0], _PANEL):
-        if rank == cols:
-            break
-        panel = rows[start : start + _PANEL].astype(np.float64)
-        if rank:
-            panel -= panel[:, piv] @ basis[:rank]
-            _mod(panel, p)
-        k, new_piv = _rref_gf2(panel) if p == 2 else _rref(panel, p)
-        if not k:
-            continue
-        if rank:
-            old = basis[:rank]
-            old -= old[:, new_piv] @ panel[:k]
-            _mod(old, p)
-        basis[rank : rank + k] = panel[:k]
-        piv += new_piv
-        rank += k
-    return rank
+def _unpacked(xs, cols):
+    # The inverse of _packed, as a uint8 array.
+    width = (cols + 7) // 8
+    raw = np.frombuffer(b"".join([x.to_bytes(width, "little") for x in xs]), np.uint8)
+    return np.unpackbits(raw.reshape(len(xs), width), axis=1, count=cols, bitorder="little")
 
 
-def _by_pivot(basis, piv):
-    # The basis rows and their pivot columns, ordered by pivot column;
-    # rows that came from a single panel already are.
-    if piv == sorted(piv):
-        return basis[: len(piv)], tuple(piv)
-    order = np.argsort(piv)
-    return basis[order], tuple(sorted(piv))
+class _PackedRows:
+    # The GF(2) basis: `rows` maps each pivot column j to its packed row,
+    # which has bit j set and is zero at every other pivot; `mask` is the
+    # OR of the pivot bits.
+
+    __slots__ = ("cols", "rows", "mask")
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.rows = {}
+        self.mask = 0
+
+    def _residue(self, x):
+        # One pass: the stored rows are zero at each other's pivots, so the
+        # pivot bits of x are exactly the stored rows to XOR in.
+        rows, m = self.rows, x & self.mask
+        while m:
+            j = m.bit_length() - 1
+            x ^= rows[j]
+            m ^= 1 << j
+        return x
+
+    def absorb(self, rows):
+        basis = self.rows
+        for x in _packed(rows):
+            if len(basis) == self.cols:
+                break
+            x = self._residue(x)
+            if x:
+                low = x & -x
+                for j, y in basis.items():
+                    if y & low:
+                        basis[j] = y ^ x
+                basis[low.bit_length() - 1] = x
+                self.mask |= low
+        return len(basis)
+
+    def reduce(self, rows):
+        return _unpacked([self._residue(x) for x in _packed(rows)], self.cols).astype(np.int64)
+
+    def unpack(self):
+        pivots = sorted(self.rows)
+        return _unpacked([self.rows[j] for j in pivots], self.cols), tuple(pivots)
+
+
+def _basis(cols, p):
+    # An empty basis in the row encoding of GF(p).
+    return _PackedRows(cols) if p == 2 else _FloatRows(cols, p)
 
 
 def active_backend() -> str:
@@ -243,10 +298,9 @@ def rref_array(a, p: int):
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return m, 0, ()
-    _check_exact(cols, p)
-    basis, piv = np.empty((min(rows, cols), cols)), []
-    rank = _eliminate(basis, piv, m, p)
-    reduced, pivots = _by_pivot(basis, piv)
+    basis = _basis(cols, p)
+    rank = basis.absorb(m)
+    reduced, pivots = basis.unpack()
     m[:rank] = reduced
     m[rank:] = 0
     return m, rank, pivots
@@ -257,29 +311,17 @@ class Echelon:
 
     Keeps one fully reduced row per pivot column (one at its pivot, zero
     in every other pivot column); insertion order never changes ranks,
-    pivot columns or spans, which is all callers may rely on. The row
-    buffer grows geometrically up to `cols`. Raises ValueError when `cols`
-    is too wide for exact float64 products over GF(p).
+    pivot columns or spans, which is all callers may rely on. Over GF(2)
+    the rows are bit-packed; for odd p they sit in a float64 buffer that
+    grows geometrically up to `cols` rows, and a `cols` too wide for exact
+    float64 products raises ValueError.
     """
 
     def __init__(self, cols: int, p: int):
         self.cols = operator.index(cols)
         self.p = operator.index(p)
-        _check_exact(self.cols, self.p)
         self.rank = 0
-        self._cap = 0
-        self._basis = np.empty((0, self.cols))
-        self._piv = []
-
-    def _ensure_capacity(self, incoming: int):
-        need = min(self.cols, self.rank + incoming)
-        if need <= self._cap:
-            return
-        new_cap = min(self.cols, max(need, 2 * self._cap, 32))
-        basis = np.empty((new_cap, self.cols))
-        if self.rank:
-            basis[: self.rank] = self._basis[: self.rank]
-        self._basis, self._cap = basis, new_cap
+        self._basis = _basis(self.cols, self.p)
 
     def insert(self, rows, consume: bool = False) -> int:
         """Feed rows into the accumulator; returns the updated rank.
@@ -292,22 +334,19 @@ class Echelon:
         if not consume:
             rows = _as_matrix(rows, self.p)
         if rows.shape[0] and self.rank < self.cols:
-            self._ensure_capacity(rows.shape[0])
-            self.rank = _eliminate(self._basis, self._piv, rows, self.p)
+            self.rank = self._basis.absorb(rows)
         return self.rank
 
     def reduce(self, rows) -> np.ndarray:
         """Residues of rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
         if rows.shape[0] and self.rank:
-            basis = self._basis[: self.rank]
-            red = rows - rows[:, self._piv].astype(np.float64) @ basis
-            rows = _mod(red, self.p).astype(np.int64)
+            rows = self._basis.reduce(rows)
         return rows
 
     def basis_rows(self):
         """Accumulated basis as (rows, pivots), ordered by pivot column."""
-        rows, pivots = _by_pivot(self._basis, self._piv)
+        rows, pivots = self._basis.unpack()
         return rows.astype(np.int64), pivots
 
     def kernel(self) -> np.ndarray:
@@ -317,13 +356,15 @@ class Echelon:
         entries in column f at their pivots (the rows are fully reduced),
         zero elsewhere.
         """
+        rows, pivots = self.basis_rows()
+        pivots = list(pivots)
         free = np.ones(self.cols, bool)
-        free[self._piv] = False
+        free[pivots] = False
         free = np.flatnonzero(free)
         ker = np.zeros((free.size, self.cols), np.int64)
         ker[np.arange(free.size), free] = 1
         if self.rank:
-            ker[:, self._piv] = (-self._basis[: self.rank, free].T % self.p).astype(np.int64)
+            ker[:, pivots] = -rows[:, free].T % self.p
         return ker
 
 
@@ -337,13 +378,14 @@ def rank_of_rows(rows, p: int) -> int:
 
 
 def warmup():
-    """Run every kernel once on tiny inputs.
+    """Run every kernel once on tiny inputs, in both row encodings.
 
     There is nothing to compile; callers use this to touch each kernel
     entry point (and numpy's own lazy set-up) before timing starts.
     """
     demo = [[1, 1, 0], [0, 1, 1]]
-    rref_array(demo, 2)
-    acc = Echelon(3, 2)
-    acc.insert(demo)
-    acc.reduce([[1, 0, 1]])
+    for p in (2, 3):
+        rref_array(demo, p)
+        acc = Echelon(3, p)
+        acc.insert(demo)
+        acc.reduce([[1, 0, 1]])

@@ -194,9 +194,14 @@ class MonomialBasis:
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={self.size})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
-    """Shared per-(nvars, degree) basis instance with cached maps."""
+    """Shared per-(nvars, degree) basis instance with cached maps.
+
+    The cache is typed, so a float never finds the basis cached under the
+    equal int: it reaches `MonomialBasis` and raises TypeError whatever
+    ran before.
+    """
     return MonomialBasis(nvars, degree)
 
 

@@ -6,7 +6,8 @@ import pytest
 from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, min_distance
 from coldec.decoder import classify
 from coldec.ideals import build_ideal, ideal_degree
-from coldec.oracle import nearest_neighbors
+from coldec.oracle import enumerate_min_distance, nearest_neighbors
+from coldec.polybasis import monomial_basis
 from conftest import random_code
 
 
@@ -265,3 +266,40 @@ def test_degree_is_read_off_the_generating_piece(demo_code, monkeypatch):
     assert asked == []
     assert decode(C, [1, 0, 0, 0, 0], colon_power=1).point == res.point
     assert asked == [2]
+
+
+# Generator polynomial of the cyclic [23,12,7] binary Golay code,
+# 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11, lowest degree first.
+GOLAY_POLY = [1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1]
+
+
+def golay_code():
+    """The extended binary Golay [24,12,8] code: the 12 shifts of the
+    cyclic generator polynomial, plus an overall parity column."""
+    G = np.zeros((12, 24), np.int64)
+    for i in range(12):
+        G[i, i : i + 12] = GOLAY_POLY
+    G[:, 23] = G[:, :23].sum(axis=1) % 2
+    return LinearCode(PrimeField(2), G)
+
+
+def test_golay_words_decode_exactly_at_455_and_1820_columns():
+    # The widest GF(2) levels tier-1 eliminates. A 2-error word's scan of
+    # C^w stops at level 3, whose monomials in 13 variables number 455; a
+    # 3-error word's stops at level 4, with 1,820. The distance comes from
+    # the oracle: the rank criterion would build level 9 of C.
+    C = golay_code()
+    assert enumerate_min_distance(C) == 8
+    C._dmin = 8
+    assert [monomial_basis(C.k + 1, s).size for s in (3, 4)] == [455, 1820]
+    rng = np.random.default_rng(2416)
+    for t in (2, 2, 3):
+        c = C.encode(rng.integers(0, 2, C.k)).v
+        e = np.zeros(C.n, np.int64)
+        e[rng.choice(C.n, t, replace=False)] = 1
+        w = (c + e) % 2
+        d_w, vectors = nearest_neighbors(C, w)
+        assert d_w == t and vectors.tolist() == [c.tolist()]
+        res = decode(C, w)
+        assert (res.status, res.d, res.d_w) == (DecodeStatus.CORRECTED, 8, t)
+        assert res.nearest.v.tolist() == c.tolist() and res.error.tolist() == e.tolist()

@@ -229,15 +229,40 @@ def test_gf2_full_rank_squares_and_zero_rows_match_reference(n):
 
 
 @pytest.mark.parametrize("cols", PACKED_COLS)
-def test_gf2_packed_pivot_loop_leaves_the_panel_of_the_float_loop(cols):
-    # The whole panel, zero rows below the rank included, not only the
-    # rows that the public surfaces read.
+def test_gf2_packed_rref_equals_the_float_pivot_loop(cols):
+    # The whole reduced array, zero rows below the rank included, against
+    # the float64 pivot loop of odd p as a reference: random and zero
+    # matrices of one row, a few rows, and one row either side of a panel.
     rng = np.random.default_rng(800 + cols)
-    for rows in (1, 5, 64):
+    for rows in (1, 5, 63, 64, 65):
         for a in (rng.integers(0, 2, size=(rows, cols)), np.zeros((rows, cols), np.int64)):
-            packed, loop = a.astype(np.float64), a.astype(np.float64)
-            assert kernels._rref_gf2(packed) == kernels._rref(loop, 2)
-            assert packed.tolist() == loop.tolist()
+            loop = a.astype(np.float64)
+            rank, piv = kernels._rref(loop, 2)
+            R, r, pivots = kernels.rref_array(a, 2)
+            assert (r, pivots) == (rank, tuple(piv))
+            assert R.dtype == np.int64 and R.tolist() == loop.astype(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cols", PACKED_COLS)
+def test_gf2_echelon_at_rank_zero_and_full_rank(cols):
+    # Rank 0: residues are the rows mod 2, the basis is empty and the
+    # kernel is the identity. Full rank: every later insert returns cols,
+    # every residue is zero and the kernel is empty.
+    rng = np.random.default_rng(900 + cols)
+    rows = rng.integers(-3, 4, size=(4, cols))
+    acc = kernels.Echelon(cols, 2)
+    assert acc.insert(np.zeros((3, cols), np.int64)) == 0
+    assert acc.reduce(rows).tolist() == (rows % 2).tolist()
+    basis, pivots = acc.basis_rows()
+    assert basis.shape == (0, cols) and pivots == ()
+    assert acc.kernel().tolist() == np.eye(cols, dtype=np.int64).tolist()
+    acc.insert(_invertible_gf2(rng, cols))
+    for block in (rng.integers(0, 2, size=(70, cols)), np.zeros((1, cols), np.int64)):
+        assert acc.insert(block) == cols
+    basis, pivots = acc.basis_rows()
+    assert pivots == tuple(range(cols)) and basis.tolist() == np.eye(cols, dtype=int).tolist()
+    assert not acc.reduce(rows).any()
+    assert acc.kernel().shape == (0, cols)
 
 
 def test_gf2_bool_and_integral_float_rows_match_int_rows():

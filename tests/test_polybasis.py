@@ -326,3 +326,16 @@ def test_integer_arguments_refuse_floats(entry):
     for bad in (lambda v: v + 0.7, float, str):
         with pytest.raises(TypeError):
             call(bad)
+
+
+def test_cached_basis_refuses_floats_whatever_ran_before():
+    # An integral float is refused on a cold cache, and still refused once
+    # the equal int has cached its basis.
+    monomial_basis.cache_clear()
+    with pytest.raises(TypeError):
+        monomial_basis(3.0, 2)
+    basis = monomial_basis(3, 2)
+    for args in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(TypeError):
+            monomial_basis(*args)
+    assert monomial_basis(3, 2) is basis
