@@ -6,7 +6,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["PrimeField", "is_prime"]
+__all__ = ["PrimeField", "is_prime", "modulus"]
 
 
 def is_prime(p: int) -> bool:
@@ -63,6 +63,18 @@ class PrimeField:
         rather than being truncated.
         """
         return int64_entries(values) % self.p
+
+
+def modulus(p) -> int:
+    """`p` as an int of at least 2: TypeError for a float, ValueError below 2.
+
+    Primality is not tested; the kernels and polynomial helpers take a
+    prime p on trust, as `PrimeField` checks it once.
+    """
+    p = operator.index(p)
+    if p < 2:
+        raise ValueError(f"modulus must be at least 2, got {p}")
+    return p
 
 
 def int64_entries(values) -> np.ndarray:

@@ -25,6 +25,7 @@ degree, which makes that iteration exact.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import TYPE_CHECKING
 
@@ -156,15 +157,26 @@ class IdealPiece:
         if gen_degree < 1:
             raise ValueError("generators must have degree at least 1")
         size = monomial_basis(nvars, gen_degree).size
-        gens = field.reduce(gens)
+        gens = np.ascontiguousarray(field.reduce(gens))
         if gens.ndim != 2 or gens.shape[1] != size:
             raise ValueError(
                 f"degree-{gen_degree} generators in {nvars} variables need "
                 f"{size} columns, got shape {gens.shape}"
             )
+        self._fill(field, operator.index(nvars), gen_degree, gens)
+
+    @classmethod
+    def _of_residues(cls, field: PrimeField, nvars: int, gen_degree: int, gens: np.ndarray):
+        # An ideal over a fresh C-contiguous int64 array of canonical
+        # residues with the right shape, taken over unchecked and uncopied.
+        ideal = cls.__new__(cls)
+        ideal._fill(field, nvars, gen_degree, gens)
+        return ideal
+
+    def _fill(self, field, nvars, gen_degree, gens):
         gens.flags.writeable = False
         self.field = field
-        self.nvars = operator.index(nvars)
+        self.nvars = nvars
         self.gen_degree = gen_degree
         self.gens = gens
         self._pieces: dict[int, tuple[np.ndarray, int]] = {}
@@ -183,7 +195,7 @@ class IdealPiece:
         size = monomial_basis(self.nvars, m).size
         acc = kernels.Echelon(size, p)
         if m == self.gen_degree:
-            acc.insert(self.gens)
+            acc.insert(self.gens, consume=True)  # canonical, and only read
         else:
             prev_rows, _ = self.piece(m - 1)
             maps = monomial_basis(self.nvars, m - 1).power_maps(1)
@@ -205,23 +217,38 @@ class IdealPiece:
         )
 
 
-def _iter_product_rows(forms: np.ndarray, s: int, p: int):
-    """Coefficient rows of all products of s distinct rows of `forms`.
+def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
+    """Coefficient rows of all products of s distinct rows of `forms`, in blocks.
 
-    Subsets are enumerated in lexicographic order; prefix products are
-    shared along the recursion, so each yielded row costs one linear-form
-    multiplication.
+    Subsets come in lexicographic order. Each block is a fresh C-contiguous
+    int64 array of `size` rows (the last one may be shorter), yielded as
+    soon as its last row is written, so no product is computed ahead of
+    the block being filled. A stack keeps the products of each subset's
+    prefixes; only those from the first position that changed are
+    recomputed, so each prefix costs one linear-form multiplication.
     """
-    n = forms.shape[0]
-
-    def rec(start: int, depth: int, prefix: np.ndarray):
-        if depth == s:
-            yield prefix
-            return
-        for j in range(start, n - (s - depth) + 1):
-            yield from rec(j + 1, depth + 1, multiply_by_form(prefix, depth, forms[j], p))
-
-    yield from rec(0, 0, np.ones(1, np.int64))
+    n, nvars = forms.shape
+    left = math.comb(n, s)
+    cols = monomial_basis(nvars, s).size
+    forms = list(forms)  # row views, made once
+    prefix = [np.ones(1, np.int64)] + [None] * (s - 1)  # product of the first d forms
+    prev = (-1,) * s
+    r = 0
+    for combo in itertools.combinations(range(n), s):
+        i = 0
+        while combo[i] == prev[i]:
+            i += 1
+        for d in range(i, s - 1):
+            prefix[d + 1] = multiply_by_form(prefix[d], d, forms[combo[d]], p)
+        if r == 0:
+            block = np.empty((min(size, left), cols), np.int64)
+        block[r] = multiply_by_form(prefix[s - 1], s - 1, forms[combo[s - 1]], p)
+        r += 1
+        if r == block.shape[0]:
+            left -= r
+            r = 0
+            yield block
+        prev = combo
 
 
 def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
@@ -234,9 +261,8 @@ def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
     count = checked_binomial(C.n, s, "generator count")
-    row = np.dtype((np.int64, (monomial_basis(C.k, s).size,)))
-    rows = np.fromiter(_iter_product_rows(C.G.a.T, s, C.field.p), row, count)
-    return IdealPiece(C.field, C.k, s, rows)
+    rows = next(_product_blocks(C.G.a.T, s, C.field.p, count))
+    return IdealPiece._of_residues(C.field, C.k, s, rows)
 
 
 def min_distance(C: "LinearCode", cap: int | None = None) -> int:
@@ -273,9 +299,9 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     while True:
         target = monomial_basis(C.k, s).size
         acc = kernels.Echelon(target, p)
-        rows = _iter_product_rows(forms, s, p)
-        while acc.rank < target and (block := list(itertools.islice(rows, 64))):
-            acc.insert(np.stack(block), consume=True)
+        for block in _product_blocks(forms, s, p, 64):
+            if acc.insert(block, consume=True) == target:
+                break
         if acc.rank < target:
             C._min_level = acc
             C._dmin = s - 1

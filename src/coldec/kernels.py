@@ -56,7 +56,7 @@ import operator
 
 import numpy as np
 
-from .field import int64_entries
+from .field import int64_entries, modulus
 
 __all__ = [
     "active_backend",
@@ -203,9 +203,18 @@ class _FloatRows:
         return self.basis[np.argsort(piv)], tuple(sorted(piv))
 
 
+# Bit j of a one-word row, for j < 63.
+_BITS = 1 << np.arange(63, dtype=np.int64)
+
+
 def _packed(rows):
     # The rows of a canonical-residue GF(2) array as Python ints, bit j
-    # standing for column j.
+    # standing for column j. Up to 63 columns a row is one int64, made by
+    # one integer product with the bit weights; wider rows go through
+    # np.packbits and bytes, which is faster there.
+    cols = rows.shape[1]
+    if cols < 64:
+        return (rows @ _BITS[:cols]).tolist()
     packed = np.packbits(rows.astype(bool), axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
@@ -294,6 +303,7 @@ def rref_array(a, p: int):
     Returns (R, rank, pivots) where R is a fresh canonical-residue array.
     The input is not modified.
     """
+    p = modulus(p)
     m = _as_matrix(a, p)
     rows, cols = m.shape
     if rows == 0 or cols == 0:
@@ -319,7 +329,7 @@ class Echelon:
 
     def __init__(self, cols: int, p: int):
         self.cols = operator.index(cols)
-        self.p = operator.index(p)
+        self.p = modulus(p)
         self.rank = 0
         self._basis = _basis(self.cols, self.p)
 
@@ -327,9 +337,9 @@ class Echelon:
         """Feed rows into the accumulator; returns the updated rank.
 
         Rows stop being read once the rank equals `cols`, as no row can
-        add to it then. With consume=True the caller hands over ownership
-        of a fresh C-contiguous int64 residue array, which may be
-        destroyed and is not checked.
+        add to it then. With consume=True the caller vouches for a
+        C-contiguous int64 array of canonical residues, which is read
+        without a check or a copy and never written.
         """
         if not consume:
             rows = _as_matrix(rows, self.p)
@@ -370,6 +380,7 @@ class Echelon:
 
 def rank_of_rows(rows, p: int) -> int:
     """Rank of a stack of rows over GF(p)."""
+    p = modulus(p)
     rows = _as_matrix(rows, p)
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         return 0

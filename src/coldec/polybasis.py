@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import int64_entries
+from .field import int64_entries, modulus
 
 __all__ = [
     "BinomialOverflowError",
@@ -205,6 +205,14 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree)
 
 
+@lru_cache(maxsize=None, typed=True)
+def _product_table(nvars: int, degree: int):
+    # All that multiply_by_form reads: the size of the degree-`degree`
+    # basis and the divisor maps of the degree+1 basis. Typed like
+    # monomial_basis, so a float degree misses and is refused there.
+    return monomial_basis(nvars, degree).size, monomial_basis(nvars, degree + 1).divisor_maps()
+
+
 def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np.ndarray:
     """Product of a degree-`degree` polynomial with a linear form, mod p.
 
@@ -215,20 +223,20 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
     the form, each entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32
     for p < 2**16, so it stays far inside int64 and is reduced once.
     Arrays of another dtype than int64 must pass `int64_entries` and are
-    reduced mod p first; anything else raises ValueError.
+    reduced mod p first; anything else raises ValueError. The modulus
+    must be an int of at least 2 (see `field.modulus`).
     """
+    p = modulus(p)
     if f.dtype != np.int64:
         f = int64_entries(f) % p
     if form.dtype != np.int64:
         form = int64_entries(form) % p
-    nvars = form.shape[0]
-    size = monomial_basis(nvars, degree).size
+    size, inv = _product_table(form.shape[0], degree)
     if f.shape != (size,):
         raise ValueError(
-            f"degree-{degree} polynomial in {nvars} variables needs "
+            f"degree-{degree} polynomial in {form.shape[0]} variables needs "
             f"{size} coefficients, got shape {f.shape}"
         )
-    inv = monomial_basis(nvars, degree + 1).divisor_maps()
     padded = np.zeros(size + 1, np.int64)
     padded[:size] = f
     out = form @ padded[inv]
@@ -238,6 +246,7 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
 
 def product_of_linear_forms(forms, p: int) -> np.ndarray:
     """Left-fold product of the rows of a nonempty (g, nvars) form array."""
+    p = modulus(p)
     forms = int64_entries(forms) % p
     if forms.ndim != 2 or forms.shape[0] == 0:
         raise ValueError("need a nonempty (g, nvars) array of linear forms")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, min_distance
+from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, kernels, min_distance
 from coldec.decoder import classify
 from coldec.ideals import build_ideal, ideal_degree
 from coldec.oracle import enumerate_min_distance, nearest_neighbors
@@ -81,17 +81,19 @@ def test_uncorrectable_scan_stops_at_level_d(monkeypatch):
     # so C^w has distance d = 2 and its level 3 cannot change the answer
     C = LinearCode(PrimeField(2), [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert min_distance(C) == 2  # C's own scan ends at level d+1; cache it
-    degrees = []
-    real = ideals._iter_product_rows
+    widths = []
 
-    def recording(forms, s, p):
-        degrees.append(s)
-        return real(forms, s, p)
+    class Recording(kernels.Echelon):
+        def __init__(self, cols, p):
+            widths.append(cols)
+            super().__init__(cols, p)
 
-    monkeypatch.setattr(ideals, "_iter_product_rows", recording)
+    monkeypatch.setattr(kernels, "Echelon", Recording)
     res = decode(C, [1, 1, 0, 0])
     assert res.status is DecodeStatus.UNCORRECTABLE and res.d == 2
-    assert degrees == [1, 2]
+    # the rank check of C^w's 3 x 4 generator, then the scan's levels 1
+    # and 2 in C^w's 3 variables; a level 3 would add a width of 10
+    assert widths == [4] + [monomial_basis(3, s).size for s in (1, 2)] == [4, 3, 6]
 
 
 def test_beyond_radius_unique_neighbor_still_corrected():

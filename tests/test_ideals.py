@@ -8,6 +8,7 @@ import pytest
 
 from coldec import LinearCode, PrimeField, decode, min_distance
 from coldec.decoder import classify
+from coldec import ideals
 from coldec.ideals import (
     IdealPiece,
     LinearFormSpace,
@@ -27,7 +28,7 @@ from coldec.ideals import (
 )
 from coldec.linalg import MatrixGF
 from coldec.oracle import enumerate_min_distance, projective_min_weight_count
-from coldec.polybasis import checked_binomial, monomial_basis
+from coldec.polybasis import checked_binomial, monomial_basis, product_of_linear_forms
 from conftest import random_code
 
 
@@ -92,6 +93,21 @@ class TestIdealPiece:
         F = PrimeField(2)
         with pytest.raises(ValueError):
             IdealPiece(F, 2, 2, [[1, 0]])  # needs 3 columns
+
+    def test_outside_generators_keep_the_input_rule(self):
+        # Lists, integral floats and out-of-range values are reduced into a
+        # fresh C-contiguous array; fractions are refused; the input is
+        # left as it was.
+        F = PrimeField(3)
+        src = np.array([[4, -1, 3], [0, 7, 5]], np.int64)
+        for gens in (src.tolist(), src.astype(float), np.asfortranarray(src)):
+            I = IdealPiece(F, 3, 1, gens)
+            assert I.gens.tolist() == [[1, 2, 0], [0, 1, 2]]
+            assert I.gens.flags.c_contiguous and not I.gens.flags.writeable
+            assert I.piece(1)[1] == 2
+        assert src.tolist() == [[4, -1, 3], [0, 7, 5]]
+        with pytest.raises(ValueError):
+            IdealPiece(F, 3, 1, [[0.5, 1, 0]])
 
     def test_graded_pieces_grow_consistently(self, demo_ideal):
         assert demo_ideal.gen_degree == 2
@@ -473,3 +489,61 @@ def test_hilbert_function_stabilizes_at_ideal_degree():
         assert hilbert_function(I, high + 1) == deg
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_blocks_are_the_products_of_column_subsets(p):
+    # Concatenated blocks equal the products over itertools.combinations;
+    # every block is a fresh C-contiguous int64 array of `size` rows, the
+    # last one possibly shorter.
+    rng = np.random.default_rng(100 + p)
+    forms = rng.integers(0, p, size=(9, 4))
+    for s in (1, 3, 9):
+        combos = list(itertools.combinations(range(9), s))
+        want = np.stack([product_of_linear_forms(forms[list(c)], p) for c in combos])
+        for size in (1, 64, len(combos)):
+            blocks = list(ideals._product_blocks(forms, s, p, size))
+            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= size
+            for b in blocks:
+                assert b.dtype == np.int64 and b.flags.c_contiguous and b.flags.owndata
+            assert np.concatenate(blocks).tolist() == want.tolist()
+
+
+def test_product_blocks_compute_no_row_ahead(monkeypatch):
+    # A block is yielded as soon as its last row is written: the first
+    # subset costs one product per position, and each later row of level
+    # 3 of 5 forms costs one product per node of the prefix tree it opens.
+    calls = []
+    real = ideals.multiply_by_form
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "multiply_by_form", counting)
+    forms = np.eye(5, 3, dtype=np.int64)
+    gen = ideals._product_blocks(forms, 3, 2, 1)
+    seen = []
+    for block in gen:  # (0,1,2) (0,1,3) (0,1,4) (0,2,3) ...
+        seen.append(len(calls))
+    assert seen == [3, 4, 5, 7, 8, 10, 13, 14, 16, 19]
+    assert calls[:3] == [0, 1, 2]
+
+
+def test_one_level_multiplies_once_per_prefix(monkeypatch):
+    # The prefix tree of the 4-subsets of 14 columns has sum over d = 1..4
+    # of C(14-4+d, d) = 11 + 66 + 286 + 1001 = 1,364 nodes, one product each.
+    calls = []
+    real = ideals.multiply_by_form
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "multiply_by_form", counting)
+    C = random_code(np.random.default_rng(14), 3, 6, 14)
+    I = build_ideal(C, 4)
+    assert I.gens.shape == (1001, monomial_basis(6, 4).size)
+    assert len(calls) == sum(checked_binomial(10 + d, d) for d in range(1, 5)) == 1364
+    assert [calls.count(d) for d in range(4)] == [11, 66, 286, 1001]

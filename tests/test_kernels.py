@@ -189,7 +189,7 @@ def _invertible_gf2(rng, n):
 # Column counts at the edges of the packed GF(2) rows: one column, a byte
 # less one, a byte, a byte and one, the same around 64 bits, and one over
 # 128 bits.
-PACKED_COLS = [1, 7, 8, 9, 63, 64, 65, 129]
+PACKED_COLS = [1, 7, 8, 9, 62, 63, 64, 65, 129, 455]
 
 
 @pytest.mark.parametrize("cols", PACKED_COLS)
@@ -375,6 +375,28 @@ def test_echelon_integer_arguments_refuse_floats(arg):
     for bad in (lambda v: v + 0.9, float, str):
         with pytest.raises(TypeError):
             make(bad)
+
+
+# Each public kernel, with the modulus it is given.
+MODULUS_CALLS = {
+    "rref_array": lambda p: kernels.rref_array([[1, 2], [2, 2]], p)[1],
+    "rank_of_rows": lambda p: kernels.rank_of_rows([[1, 2], [2, 2]], p),
+    "Echelon": lambda p: kernels.Echelon(2, p).insert([[1, 2], [2, 2]]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODULUS_CALLS))
+def test_kernels_validate_the_modulus(entry):
+    # A float modulus is refused, and one below 2 has no field (rref_array
+    # over 0 would warn of a division by zero and report rank 0).
+    call = MODULUS_CALLS[entry]
+    assert call(3) == call(np.int64(3)) == 2
+    for bad in (3.0, 2.5):
+        with pytest.raises(TypeError):
+            call(bad)
+    for bad in (1, 0, -2):
+        with pytest.raises(ValueError, match="at least 2"):
+            call(bad)
 
 
 def test_exactness_guard_refuses_too_wide_pieces():

@@ -339,3 +339,34 @@ def test_cached_basis_refuses_floats_whatever_ran_before():
         with pytest.raises(TypeError):
             monomial_basis(*args)
     assert monomial_basis(3, 2) is basis
+
+
+def test_product_table_refuses_a_float_degree_after_an_int_call():
+    # multiply_by_form's cached per-(nvars, degree) table is typed too: a
+    # float degree never finds the table the equal int cached.
+    f, form = np.array([1, 2, 0]), np.array([1, 1, 2])
+    want = multiply_by_form(f, 1, form, 3)
+    with pytest.raises(TypeError):
+        multiply_by_form(f, 1.0, form, 3)
+    assert multiply_by_form(f, np.int64(1), form, 3).tolist() == want.tolist()
+
+
+# Each polynomial helper, with the modulus it is given.
+MODULUS_CALLS = {
+    "multiply_by_form": lambda p: multiply_by_form(np.array([1, 1]), 1, np.array([1, 2]), p),
+    "product_of_linear_forms": lambda p: product_of_linear_forms([[1, 1], [1, 2]], p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODULUS_CALLS))
+def test_polynomial_helpers_validate_the_modulus(entry):
+    # A float modulus is refused, not used as a float (product_of_linear_forms
+    # would return float64 residues), and one below 2 has no field.
+    call = MODULUS_CALLS[entry]
+    assert call(np.int64(3)).tolist() == call(3).tolist() == [1, 0, 2]
+    for bad in (3.0, 3.5):
+        with pytest.raises(TypeError):
+            call(bad)
+    for bad in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            call(bad)
