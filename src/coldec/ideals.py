@@ -230,7 +230,7 @@ def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
     n, nvars = forms.shape
     left = math.comb(n, s)
     cols = monomial_basis(nvars, s).size
-    forms = list(forms)  # row views, made once
+    forms = list(forms)  # a list index is cheaper than a fresh view per product
     prefix = [np.ones(1, np.int64)] + [None] * (s - 1)  # product of the first d forms
     prev = (-1,) * s
     r = 0

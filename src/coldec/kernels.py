@@ -7,14 +7,18 @@ pivot column. `reduce` gives the residue of rows against it, and
 The interface is one; the row encoding depends on p alone.
 
 Over GF(2) the basis is bit-packed, after M4RI (Albrecht, Bard, Hart,
-"Algorithm 898", ACM TOMS 2010). Each incoming row is packed once by
-`np.packbits(..., bitorder="little")` into a Python int with bit j for
-column j. The basis keeps one such int per pivot column and the OR of the
-pivot bits, and reduces a row x in one pass by XORing in the stored row of
-each bit of x & mask; one pass is exact as each stored row is zero at the
-other pivots. A nonzero remainder becomes a new pivot row at its lowest
-set bit and is XORed out of the stored rows that have that bit. Rows are
-unpacked only when an array is asked for.
+"Algorithm 898", ACM TOMS 2010). Each incoming row is packed once into a
+Python int with bit j for column j. A row of at most 63 columns fits one
+int64 word, so a whole array is packed by one integer product with the
+bit weights 2**j; a wider row goes through `np.packbits(...,
+bitorder="little")` and bytes, which is faster there. The choice depends
+on the width alone, and both give the same ints. The basis keeps one
+such int per pivot column and the OR of the pivot bits, and reduces a row
+x in one pass by XORing in the stored row of each bit of x & mask; one
+pass is exact as each stored row is zero at the other pivots. A nonzero
+remainder becomes a new pivot row at its lowest set bit and is XORed out
+of the stored rows that have that bit. Rows are unpacked only when an
+array is asked for.
 
 For odd p the basis is float64, and rows are absorbed in panels of
 `_PANEL` after the FFLAS-FFPACK scheme (Dumas, Giorgi, Pernet, "Dense
