@@ -20,7 +20,7 @@ remainder becomes a new pivot row at its lowest set bit and is XORed out
 of the stored rows that have that bit. Rows are unpacked only when an
 array is asked for.
 
-For odd p the basis is float64, and rows are absorbed in panels of
+For odd p the basis holds floats, and rows are absorbed in panels of
 `_PANEL` after the FFLAS-FFPACK scheme (Dumas, Giorgi, Pernet, "Dense
 linear algebra over word-size prime fields", ACM TOMS 2008). A panel is
 reduced against the basis by one matrix product, its residue is brought
@@ -39,12 +39,19 @@ reduced mod p at once: delaying that reduction inside the loop measured
 slower.
 
 The odd-p products run through BLAS with delayed modular reduction:
-entries are canonical residues in [0, p), so a product with inner
-dimension at most `cols` sums at most cols*(p-1)**2, and every step is
-exact while that, plus p, stays within 2**53. A width with
-cols * 4**b >= 2**53, where 2**b is the power of two above p - 1, is
-refused with a ValueError before any buffer is allocated; since
-p < 2**16, fewer than 2**21 columns always pass. GF(2) has no such limit.
+entries are canonical residues in [0, p), below 2**b with
+b = (p - 1).bit_length(), so a product with inner dimension at most
+`cols` sums at most cols*(p-1)**2, and that plus the margin of p that
+`_mod` needs stays below cols * 4**b. Every sum of such nonnegative
+integers is exact in a float type whose mantissa holds that bound, in
+any summation order, and so is `_mod`'s quotient. The float type follows
+from (cols, p) alone, like FFLAS-FFPACK's choice of precision: float32
+while cols * 4**b < 2**24 (at p = 3 up to about a million columns, at
+p = 251 below 256), float64 while it stays below 2**53, and above that a
+ValueError before any buffer is allocated; since p < 2**16, fewer than
+2**21 columns always pass. Panels, both products, the pivot loop and the
+reductions all run in the basis's type, with no operand of another float
+type to widen them. GF(2) has no such limit.
 
 Reduced row echelon form, rank, pivot columns and the residue of a row
 (the unique vector of row + span that is zero in every pivot column) are
@@ -73,25 +80,32 @@ __all__ = [
 _PANEL = 64
 
 
-def _check_exact(cols: int, p: int):
-    # Entries are below 2**b with b = (p-1).bit_length(), so a product with
-    # inner dimension at most `cols` stays below cols * 4**b. Keeping that
-    # below 2**53 also leaves the margin of p that _mod needs.
+def _float_type(cols: int, p: int):
+    # The float type of an odd-p basis of `cols` columns: the narrowest
+    # whose mantissa holds cols * 4**b, the bound on every product and
+    # _mod operand (see the module docstring).
     b = (p - 1).bit_length()
-    if cols << (2 * b) >= 2**53:
-        raise ValueError(
-            f"{cols} columns over GF({p}) are too many for exact float64 "
-            f"elimination: cols * 4**{b} must stay below 2**53"
-        )
+    bound = cols << (2 * b)
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise ValueError(
+        f"{cols} columns over GF({p}) are too many for exact float64 "
+        f"elimination: cols * 4**{b} must stay below 2**53"
+    )
 
 
 def _mod(x, p):
-    # x mod p in place, for integer-valued float64 x with |x| + p <= 2**53.
-    # The correctly rounded quotient x/p lies within less than 1/p of the
-    # true one, so it never crosses an integer and its floor is exact. From
-    # about 64 cells up this is several times faster than np.remainder on
-    # float64; below that np.remainder's single call is cheaper.
-    p = float(p)  # a float divisor spares numpy a mixed-type dispatch
+    # x mod p in place, for integer-valued float x with |x| + p at most
+    # 2**24 in float32 or 2**53 in float64 (the mantissa's range). The
+    # correctly rounded quotient x/p then lies within less than 1/p of the
+    # true one, so it never crosses an integer and its floor is exact, as
+    # is the floor times p. From about 64 cells up this is several times
+    # faster than np.remainder; below that np.remainder's single call is
+    # cheaper. A Python float divisor spares numpy a mixed-type dispatch and,
+    # as a scalar, keeps x's float type under every numpy casting rule.
+    p = float(p)
     if x.size < 64:
         return np.remainder(x, p, out=x)
     q = x / p
@@ -102,9 +116,10 @@ def _mod(x, p):
 
 
 def _rref(a, p):
-    # In-place reduced row echelon form of a small float64 panel, one pivot
+    # In-place reduced row echelon form of a small float panel, one pivot
     # column at a time; each step is reduced mod p, so every intermediate
-    # stays below p**2 < 2**32 and the float arithmetic is exact. Any nonzero
+    # stays below p**2, which is below 2**22 wherever the panel is float32
+    # and below 2**32 always, and the float arithmetic is exact. Any nonzero
     # entry may serve as the pivot, since the result is unique. Returns
     # (rank, pivot columns).
     rows, cols = a.shape
@@ -152,16 +167,15 @@ def _rref(a, p):
 
 
 class _FloatRows:
-    # The odd-p basis: float64 rows basis[:rank] with pivot columns `piv`
-    # (rank = len(piv)), in a buffer that grows geometrically up to `cols`
-    # rows.
+    # The odd-p basis: rows basis[:rank] of the float type that
+    # _float_type(cols, p) picks, with pivot columns `piv` (rank =
+    # len(piv)), in a buffer that grows geometrically up to `cols` rows.
 
     __slots__ = ("p", "basis", "piv")
 
     def __init__(self, cols, p):
-        _check_exact(cols, p)
         self.p = p
-        self.basis = np.empty((0, cols))
+        self.basis = np.empty((0, cols), _float_type(cols, p))
         self.piv = []
 
     def absorb(self, rows):
@@ -171,13 +185,13 @@ class _FloatRows:
         rank, cols = len(piv), basis.shape[1]
         need = min(cols, rank + rows.shape[0])
         if need > len(basis):
-            basis = np.empty((min(cols, max(need, 2 * len(basis), 32)), cols))
+            basis = np.empty((min(cols, max(need, 2 * len(basis), 32)), cols), basis.dtype)
             basis[:rank] = self.basis[:rank]
             self.basis = basis
         for start in range(0, rows.shape[0], _PANEL):
             if rank == cols:
                 break
-            panel = rows[start : start + _PANEL].astype(np.float64)
+            panel = rows[start : start + _PANEL].astype(basis.dtype)
             if rank:
                 panel -= panel[:, piv] @ basis[:rank]
                 _mod(panel, p)
@@ -195,7 +209,9 @@ class _FloatRows:
 
     def reduce(self, rows):
         # Residues of canonical residue rows, at rank 1 or more.
-        red = rows - rows[:, self.piv].astype(np.float64) @ self.basis[: len(self.piv)]
+        basis = self.basis[: len(self.piv)]
+        red = rows.astype(basis.dtype)
+        red -= red[:, self.piv] @ basis
         return _mod(red, self.p).astype(np.int64)
 
     def unpack(self):
@@ -326,16 +342,28 @@ class Echelon:
     Keeps one fully reduced row per pivot column (one at its pivot, zero
     in every other pivot column); insertion order never changes ranks,
     pivot columns or spans, which is all callers may rely on. Over GF(2)
-    the rows are bit-packed; for odd p they sit in a float64 buffer that
-    grows geometrically up to `cols` rows, and a `cols` too wide for exact
-    float64 products raises ValueError.
+    the rows are bit-packed; for odd p they sit in a float buffer that
+    grows geometrically up to `cols` rows. That buffer is float32 while
+    cols * 4**b < 2**24, where b = (p - 1).bit_length(), and float64 while
+    cols * 4**b < 2**53; in either type every product and reduction is
+    exact. A wider `cols` raises ValueError, as does a negative one. Rows
+    given to `insert` or `reduce` must have `cols` columns, or ValueError
+    is raised before the basis is touched.
     """
 
     def __init__(self, cols: int, p: int):
         self.cols = operator.index(cols)
+        if self.cols < 0:
+            raise ValueError(f"an Echelon needs a column count of 0 or more, not {self.cols}")
         self.p = modulus(p)
         self.rank = 0
         self._basis = _basis(self.cols, self.p)
+
+    def _check_width(self, rows):
+        if rows.shape[1] != self.cols:
+            raise ValueError(
+                f"rows of {rows.shape[1]} columns given to an Echelon of {self.cols} columns"
+            )
 
     def insert(self, rows, consume: bool = False) -> int:
         """Feed rows into the accumulator; returns the updated rank.
@@ -343,10 +371,12 @@ class Echelon:
         Rows stop being read once the rank equals `cols`, as no row can
         add to it then. With consume=True the caller vouches for a
         C-contiguous int64 array of canonical residues, which is read
-        without a check or a copy and never written.
+        without a copy or a check of its entries and never written; its
+        width is checked all the same.
         """
         if not consume:
             rows = _as_matrix(rows, self.p)
+        self._check_width(rows)
         if rows.shape[0] and self.rank < self.cols:
             self.rank = self._basis.absorb(rows)
         return self.rank
@@ -354,6 +384,7 @@ class Echelon:
     def reduce(self, rows) -> np.ndarray:
         """Residues of rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
+        self._check_width(rows)
         if rows.shape[0] and self.rank:
             rows = self._basis.reduce(rows)
         return rows
@@ -393,13 +424,14 @@ def rank_of_rows(rows, p: int) -> int:
 
 
 def warmup():
-    """Run every kernel once on tiny inputs, in both row encodings.
+    """Run every kernel once on tiny inputs, in every row encoding.
 
-    There is nothing to compile; callers use this to touch each kernel
+    Those are GF(2)'s packed rows and the float32 and float64 rows of odd
+    p. There is nothing to compile; callers use this to touch each kernel
     entry point (and numpy's own lazy set-up) before timing starts.
     """
     demo = [[1, 1, 0], [0, 1, 1]]
-    for p in (2, 3):
+    for p in (2, 3, 65521):
         rref_array(demo, p)
         acc = Echelon(3, p)
         acc.insert(demo)

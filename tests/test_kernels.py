@@ -1,8 +1,9 @@
-"""Elimination kernels: known values, the exactness guard, and a
-differential test of the panel-blocked kernel against the loop-style
-reference in reference_kernels through every public surface (RREF, ranks,
-membership reduction, echelon bases, kernels), below and across panel
-sizes, and for GF(2) at the edges of its bit-packed rows."""
+"""Elimination kernels: known values, the exactness guard, the width
+checks, and a differential test of the panel-blocked kernel against the
+loop-style reference in reference_kernels through every public surface
+(RREF, ranks, membership reduction, echelon bases, kernels), below and
+across panel sizes, for odd p on both sides of the float32 edge, and for
+GF(2) at the edges of its bit-packed rows."""
 
 import numpy as np
 import pytest
@@ -397,6 +398,142 @@ def test_kernels_validate_the_modulus(entry):
     for bad in (1, 0, -2):
         with pytest.raises(ValueError, match="at least 2"):
             call(bad)
+
+
+# (p, cols) on each side of the float32 edge cols * 4**b < 2**24, with
+# b = (p - 1).bit_length(): 3 and 4 columns at p = 2039 (b = 11), 255 and
+# 256 at p = 251 (b = 8), and a width of gf3-channel's scan levels.
+FLOAT_TYPE_CASES = {
+    (2039, 3): np.float32,
+    (2039, 4): np.float64,
+    (251, 255): np.float32,
+    (251, 256): np.float64,
+    (3, 210): np.float32,
+}
+
+
+def _worst_case_rows(rng, p, cols):
+    # A basis [I | (p-1)] of rank cols - 1 (four panels at 255 and 256
+    # columns), then all-(p-1) rows: reducing those against it sums
+    # (cols-1)*(p-1)**2 in the last column, close to the cols * 4**b bound.
+    # A few random rows sit between them.
+    k = cols - 1
+    ident = np.hstack([np.eye(k, dtype=np.int64), np.full((k, 1), p - 1)])
+    full = np.full((3, cols), p - 1)
+    return np.vstack([ident, full, rng.integers(0, p, size=(4, cols)), full])
+
+
+def _thin_rows(rng, p, rows, cols, rank):
+    # rows x cols of rank at most `rank`, so it spans many panels without
+    # reaching full rank.
+    return rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, cols)) % p
+
+
+@pytest.mark.parametrize("p,cols", sorted(FLOAT_TYPE_CASES))
+def test_float_type_rule_matches_reference(p, cols, monkeypatch):
+    # Every surface, bit for bit against the loop reference, on random,
+    # low-rank and worst-case all-(p-1) rows inserted in several panels;
+    # every panel, pivot-loop step and reduction runs in the type that
+    # (cols, p) selects, so a silent widening to float64 fails here.
+    want = FLOAT_TYPE_CASES[p, cols]
+    assert kernels._float_type(cols, p) is want
+    seen = set()
+    real_rref, real_mod = kernels._rref, kernels._mod
+
+    def rref(a, q):
+        seen.add(a.dtype)
+        return real_rref(a, q)
+
+    def mod(x, q):
+        seen.add(x.dtype)
+        out = real_mod(x, q)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(kernels, "_rref", rref)
+    monkeypatch.setattr(kernels, "_mod", mod)
+    rng = np.random.default_rng(p + cols)
+    worst = _worst_case_rows(rng, p, cols)
+    cases = [
+        (rng.integers(0, p, size=(9, cols)), [4, 5]),
+        (_thin_rows(rng, p, 150, cols, min(cols - 1, 2)), [40, 70, 40]),
+        (worst, [cols - 1, worst.shape[0] - cols + 1]),
+        (worst, [70, worst.shape[0] - 70] if cols > 70 else [1, worst.shape[0] - 1]),
+    ]
+    for a, blocks in cases:
+        extra = np.vstack([rng.integers(0, p, size=(3, cols)), np.full((2, cols), p - 1)])
+        _check_against_reference(a, p, blocks, extra)
+        acc = kernels.Echelon(cols, p)
+        for lo, hi in zip(np.cumsum([0, *blocks[:-1]]), np.cumsum(blocks)):
+            acc.insert(a[lo:hi])
+        assert acc._basis.basis.dtype == want
+    assert seen == {np.dtype(want)}
+
+
+@pytest.mark.parametrize("p", [3, 251, 2039])
+def test_float32_mod_is_exact_near_the_edge(p):
+    # Integer-valued float32 x with |x| + p <= 2**24, on the fast path of
+    # 64 cells or more and on np.remainder's below it, against Python's %.
+    top = 2**24 - p
+    for span in (range(top - 300, top + 1), range(-top, -top + 301), range(-p - 5, p + 6)):
+        for n in (len(span), 40):
+            values = list(span)[:n]
+            x = np.array(values, np.float32)
+            assert x.astype(np.int64).tolist() == values
+            out = kernels._mod(x, p)
+            assert out.dtype == np.float32
+            assert out.astype(np.int64).tolist() == [v % p for v in values]
+
+
+# Each way a row block can miss an Echelon's width, as (method, columns of
+# the rows, consume) for an Echelon of 4 columns.
+WIDTH_MISMATCHES = {
+    "insert-wide": ("insert", 6, False),
+    "insert-narrow": ("insert", 2, False),
+    "insert-wide-consumed": ("insert", 6, True),
+    "insert-narrow-consumed": ("insert", 2, True),
+    "reduce-wide": ("reduce", 6, False),
+    "reduce-narrow": ("reduce", 2, False),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", sorted(WIDTH_MISMATCHES))
+def test_echelon_refuses_rows_of_another_width(case, p):
+    # Over GF(2) 6-column rows once gave rank 2 and a corrupt basis, and
+    # reduce gave a 4-column answer; odd p raised numpy broadcast errors.
+    # Now a ValueError names both widths and the basis stays as it was.
+    method, width, consume = WIDTH_MISMATCHES[case]
+    acc = kernels.Echelon(4, p)
+    acc.insert([[1, 0, 1, 1]])
+    before = acc.basis_rows()
+    rows = np.ones((2, width), np.int64)
+    kwargs = {"consume": True} if consume else {}
+    with pytest.raises(ValueError, match=f"{width} columns.* 4 columns"):
+        getattr(acc, method)(rows, **kwargs)
+    after = acc.basis_rows()
+    assert acc.rank == 1 and after[1] == before[1] and after[0].tolist() == before[0].tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_echelon_refuses_a_negative_column_count(p):
+    with pytest.raises(ValueError, match="-1"):
+        kernels.Echelon(-1, p)
+
+
+def test_warmup_touches_every_row_encoding(monkeypatch):
+    # GF(2)'s packed rows, and odd p's float32 and float64 rows.
+    made = []
+    real = kernels._basis
+
+    def basis(cols, p):
+        b = real(cols, p)
+        made.append(b.basis.dtype.name if hasattr(b, "basis") else type(b).__name__)
+        return b
+
+    monkeypatch.setattr(kernels, "_basis", basis)
+    kernels.warmup()
+    assert set(made) == {"_PackedRows", "float32", "float64"}
 
 
 def test_exactness_guard_refuses_too_wide_pieces():
