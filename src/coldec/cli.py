@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
         "--colon-power",
         type=int,
         default=None,
-        help="use exactly this colon exponent instead of the automatic one",
+        help="colon exponent U to report (default d_w); every U >= d_w gives the "
+        "point of U = d_w at its cost, and a smaller U is invalid input",
     )
     sp.add_argument("--oracle", action="store_true", help="cross-check the answer exhaustively")
 
@@ -95,20 +96,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _cross_check(line: str, name: str, value: int, expected: int, what: str) -> int:
+    # Print the line with the oracle's value and the verdict; 1 on a disagreement.
+    agree = value == expected
+    print(f"{line} oracle_{name}={expected} agree={'true' if agree else 'false'}")
+    if not agree:
+        print(f"cross-check failed: {what} disagrees with enumeration", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_mindist(args) -> int:
     C = fileio.load_code(args.code)
     d = min_distance(C)
     line = f"n={C.n} k={C.k} d={d}"
-    if args.oracle:
-        d_oracle = oracle.enumerate_min_distance(C, args.oracle_threshold)
-        agree = d == d_oracle
-        print(f"{line} oracle_d={d_oracle} agree={'true' if agree else 'false'}")
-        if not agree:
-            print("cross-check failed: rank criterion disagrees with enumeration", file=sys.stderr)
-            return 1
+    if not args.oracle:
+        print(line)
         return 0
-    print(line)
-    return 0
+    d_oracle = oracle.enumerate_min_distance(C, args.oracle_threshold)
+    return _cross_check(line, "d", d, d_oracle, "rank criterion")
 
 
 def _oracle_agrees(C: LinearCode, res, w, threshold: int) -> bool:
@@ -149,16 +155,11 @@ def _cmd_count_min(args) -> int:
     d = min_distance(C)
     count = ideals.min_weight_count(C)
     line = f"d={d} count={count}"
-    if args.oracle:
-        count_oracle = oracle.projective_min_weight_count(C, args.oracle_threshold)
-        agree = count == count_oracle
-        print(f"{line} oracle_count={count_oracle} agree={'true' if agree else 'false'}")
-        if not agree:
-            print("cross-check failed: ideal degree disagrees with enumeration", file=sys.stderr)
-            return 1
+    if not args.oracle:
+        print(line)
         return 0
-    print(line)
-    return 0
+    count_oracle = oracle.projective_min_weight_count(C, args.oracle_threshold)
+    return _cross_check(line, "count", count, count_oracle, "ideal degree")
 
 
 def _cmd_count_diff(args) -> int:

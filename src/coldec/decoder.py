@@ -20,6 +20,7 @@ import numpy as np
 from .code import Codeword, LinearCode, weight
 from .ideals import (
     ProjectivePoint,
+    _degree_mismatch,
     build_ideal,
     colon_linear_piece,
     min_distance,
@@ -98,12 +99,14 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     projective minimum-weight codewords of C^w, which the distance scan of
     classification recorded, so an ambiguous word builds no ideal.
 
-    Extraction takes one colon of the product ideal by T^u, at the
-    smallest power u = d_w unless `colon_power` gives u explicitly; its
-    linear piece must have dimension k, the point ideal's. Beyond the
-    radius at u = d_w the scan's last level, which gave the count 1, is
-    that colon's dual: the point is read off its kernel vector
-    (`min_weight_point`) and no ideal is built either.
+    Extraction reads the point off the colon of the product ideal by
+    T^u. The colon has saturated from u = d_w on, so every u >= d_w cuts
+    out the same point; `colon_power` only sets the reported u (d_w by
+    default), and a u below d_w raises ValueError. Within the radius the
+    colon is taken at d_w, and its linear piece must have dimension k,
+    the point ideal's. Beyond it the scan's last level, which gave the
+    count 1, is that colon's dual: the point is read off its kernel
+    vector (`min_weight_point`) and no ideal is built either.
     """
     w = C._vector(w, C.n, "received word")
     if colon_power is not None:
@@ -129,14 +132,15 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
                 status=DecodeStatus.AMBIGUOUS, d=d, d_w=d_w, neighbor_count=count
             )
     u = d_w if colon_power is None else colon_power
-    if beyond and colon_power is None:
+    if u < d_w:
+        raise _degree_mismatch(C.k, u, d_w + 1)
+    if beyond:
         point = min_weight_point(Cw)
     else:
-        I = build_ideal(Cw, d_w + 1)
-        space = colon_linear_piece(I, C.k, u)
+        space = colon_linear_piece(build_ideal(Cw, d_w + 1), C.k, d_w)
         if space.dim != C.k:
             raise RuntimeError(
-                f"colon power {u} leaves a form space of dimension {space.dim}, "
+                f"colon power {d_w} leaves a form space of dimension {space.dim}, "
                 f"expected {C.k}; the unique-neighbor hypothesis is violated"
             )
         point = point_from_forms(space)

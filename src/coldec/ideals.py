@@ -418,6 +418,15 @@ def colon_degree(ideal: IdealPiece, var: int) -> int:
     return _stabilized_value((value(m) for m in range(start, cap + 1)), str(cap))
 
 
+def _degree_mismatch(var: int, u: int, gen_degree: int) -> ValueError:
+    # A colon by x_var**u posed below the generating degree; `decode`
+    # raises it too, for a colon power under d_w, before building an ideal.
+    return ValueError(
+        f"degree mismatch: forms times x_{var}^{u} land in degree {u + 1}, "
+        f"below the generating degree {gen_degree}"
+    )
+
+
 def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
     """Linear forms L with L * x_var**u inside the ideal's graded piece.
 
@@ -432,10 +441,7 @@ def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
     if not 0 <= var < ideal.nvars:
         raise ValueError(f"variable index {var} out of range")
     if u < ideal.gen_degree - 1:
-        raise ValueError(
-            f"degree mismatch: forms times x_{var}^{u} land in degree {u + 1}, "
-            f"below the generating degree {ideal.gen_degree}"
-        )
+        raise _degree_mismatch(var, u, ideal.gen_degree)
     rows, _ = ideal.piece(u + 1)
     targets = monomial_basis(ideal.nvars, 1).power_maps(u)[var]
     b = np.zeros((rows.shape[1], ideal.nvars), np.int64)

@@ -402,15 +402,21 @@ class Echelon:
         zero elsewhere.
         """
         rows, pivots = self.basis_rows()
-        pivots = list(pivots)
-        free = np.ones(self.cols, bool)
-        free[pivots] = False
-        free = np.flatnonzero(free)
-        ker = np.zeros((free.size, self.cols), np.int64)
-        ker[np.arange(free.size), free] = 1
-        if self.rank:
-            ker[:, pivots] = -rows[:, free].T % self.p
-        return ker
+        return _kernel_of_reduced(rows, pivots, self.cols, self.p)
+
+
+def _kernel_of_reduced(rows, pivots, cols: int, p: int) -> np.ndarray:
+    # Canonical kernel basis of fully reduced int64 rows with these pivot
+    # columns: one row per free column f, 1 at f, minus the rows' entries
+    # in column f at their pivots, zero elsewhere.
+    pivots = list(pivots)
+    free = np.ones(cols, bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    ker = np.zeros((free.size, cols), np.int64)
+    ker[np.arange(free.size), free] = 1
+    ker[:, pivots] = -rows[:, free].T % p
+    return ker
 
 
 def rank_of_rows(rows, p: int) -> int:

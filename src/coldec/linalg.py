@@ -61,14 +61,8 @@ class MatrixGF:
         free variables are 0. The zero-dimensional case is a (0, cols)
         array.
         """
-        p = self.field.p
-        cols = self.a.shape[1]
-        r, rk, piv = kernels.rref_array(self.a, p)
-        free = sorted(set(range(cols)).difference(piv))
-        basis = np.zeros((len(free), cols), np.int64)
-        basis[range(len(free)), free] = 1
-        basis[:, piv] = (-r[:rk][:, free].T) % p
-        return basis
+        r, rk, piv = kernels.rref_array(self.a, self.field.p)
+        return kernels._kernel_of_reduced(r[:rk], piv, self.a.shape[1], self.field.p)
 
 
 def solve(field: PrimeField, a, b) -> np.ndarray | None:

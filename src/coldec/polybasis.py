@@ -109,32 +109,13 @@ class MonomialBasis:
         remaining = self.degree - np.cumsum(e[:, :-1], axis=1)
         return table[np.arange(self.nvars - 1), remaining].sum(axis=1)
 
-    def unrank(self, index: int) -> tuple:
-        """Exponent vector at a basis position."""
-        i = operator.index(index)
-        if not 0 <= i < self.size:
-            raise ValueError(f"index {i} out of range for basis of size {self.size}")
-        m = self.nvars
-        rem = self.degree
-        out = []
-        for pos in range(m - 1):
-            t = m - 1 - pos
-            for a in range(rem, -1, -1):
-                block = math.comb(rem - a + t - 1, t - 1)
-                if i < block:
-                    out.append(a)
-                    rem -= a
-                    break
-                i -= block
-        out.append(rem)
-        return tuple(out)
-
     def exponents(self) -> np.ndarray:
         """Full (size, nvars) exponent table, computed once.
 
-        Row i is `unrank(i)`. The rows with first exponent a form one
-        contiguous block, a = degree first, whose remaining exponents are
-        the table of one variable fewer and degree - a.
+        Row i is the exponent vector at basis position i. The rows with
+        first exponent a form one contiguous block, a = degree first, whose
+        remaining exponents are the table of one variable fewer and
+        degree - a.
         """
         if self._exps is None:
             if self.nvars == 1:

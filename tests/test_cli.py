@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from coldec import cli
+from coldec import cli, decoder
 from coldec.cli import main
+from coldec.ideals import ProjectivePoint
 from coldec.polybasis import BinomialOverflowError
 from conftest import DEMO_G, DEMO_W
 
@@ -42,6 +43,35 @@ def test_mindist_oracle(demo_files, capsys):
     rc, out, _ = run(capsys, "mindist", "--oracle", code)
     assert rc == 0
     assert out.strip() == "n=6 k=3 d=3 oracle_d=3 agree=true"
+
+
+@pytest.mark.parametrize(
+    "command,oracle_name,line,what",
+    [
+        (
+            "mindist",
+            "enumerate_min_distance",
+            "n=6 k=3 d=3 oracle_d=7 agree=false",
+            "rank criterion",
+        ),
+        (
+            "count-min",
+            "projective_min_weight_count",
+            "d=3 count=4 oracle_count=7 agree=false",
+            "ideal degree",
+        ),
+    ],
+)
+def test_oracle_disagreement_exits_1(
+    demo_files, capsys, monkeypatch, command, oracle_name, line, what
+):
+    # an oracle that counts 7 where the rank computations find 3 and 4
+    monkeypatch.setattr(cli.oracle, oracle_name, lambda C, threshold: 7)
+    code, _ = demo_files
+    rc, out, err = run(capsys, command, "--oracle", code)
+    assert rc == 1
+    assert out == line + "\n"
+    assert err == f"cross-check failed: {what} disagrees with enumeration\n"
 
 
 def test_decode_json(demo_files, capsys):
@@ -253,14 +283,38 @@ def test_check_reg_outside_the_decoding_range(tmp_path, capsys, code_text, word_
     assert out == line + "\n"
 
 
-def test_internal_failure_exits_5_without_traceback(demo_files, capsys):
+def test_internal_failure_exits_5_without_traceback(demo_files, capsys, monkeypatch):
+    # a point off the appended row breaks a decoder invariant
+    monkeypatch.setattr(
+        decoder, "point_from_forms", lambda space: ProjectivePoint(space.field, [1, 0, 0, 0])
+    )
     code, word = demo_files
-    # Piece 1201 is built from piece 1200 down to the generating degree,
-    # deeper than the interpreter's recursion limit.
-    rc, out, err = run(capsys, "decode", "--colon-power", "1200", code, word)
+    rc, out, err = run(capsys, "decode", code, word)
     assert rc == 5
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_large_colon_power_costs_what_the_smallest_does(demo_files, capsys):
+    # the colon has saturated at d_w = 1, so U = 1200 gives the U = 1 answer
+    code, word = demo_files
+    rc, out, _ = run(capsys, "decode", "--colon-power", "1200", code, word)
+    assert rc == 0
+    data = json.loads(out)
+    assert data.pop("colon_power") == 1200
+    assert data.pop("elapsed_ms") < 1000
+    rc, out, _ = run(capsys, "decode", "--colon-power", "1", code, word)
+    expect = json.loads(out)
+    del expect["colon_power"], expect["elapsed_ms"]
+    assert rc == 0 and data == expect
+
+
+def test_colon_power_below_d_w_exits_4(demo_files, capsys):
+    code, word = demo_files
+    rc, out, err = run(capsys, "decode", "--colon-power", "0", code, word)
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: degree mismatch")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from coldec import DecodeStatus, LinearCode, PrimeField, decode, ideals, kernels, min_distance
 from coldec.decoder import classify
-from coldec.ideals import build_ideal, ideal_degree
+from coldec.ideals import build_ideal, colon_linear_piece, ideal_degree, point_from_forms
 from coldec.oracle import enumerate_min_distance, nearest_neighbors
 from coldec.polybasis import monomial_basis
 from conftest import random_code
@@ -148,6 +148,38 @@ def test_explicit_colon_power_below_generating_degree():
         decode(C, w, colon_power=1)
 
 
+def test_every_power_from_d_w_on_gives_the_colon_point():
+    # the colon has saturated from T^d_w on, so decode's point at any
+    # U >= d_w is the point of the colon taken at U itself, within the
+    # radius and beyond it; U = d_w - 1 poses no membership test
+    rng = np.random.default_rng(2021)
+    seen = {False: 0, True: 0}
+    while min(seen.values()) < 12:
+        p = int(rng.choice([2, 3, 5, 7]))
+        k = int(rng.integers(1, 4))
+        n = int(rng.integers(k + 2, 9))
+        C = random_code(rng, p, k, n)
+        err = np.zeros(n, np.int64)
+        where = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+        err[where] = rng.integers(1, p, where.size)
+        w = (C.encode(rng.integers(0, p, k)).v + err) % p
+        base = decode(C, w)
+        if base.status is not DecodeStatus.CORRECTED or base.d_w == 0:
+            continue
+        d_w = base.d_w
+        seen[d_w > (base.d - 1) // 2] += 1
+        _, _, Cw, _ = classify(C, w)
+        I = build_ideal(Cw, d_w + 1)
+        for U in (d_w, d_w + 1, d_w + 2):
+            res = decode(C, w, colon_power=U)
+            assert res.point == point_from_forms(colon_linear_piece(I, k, U))
+            assert res.colon_power == U
+            assert res.error.tolist() == base.error.tolist()
+            assert res.message.tolist() == base.message.tolist()
+        with pytest.raises(ValueError, match="degree mismatch"):
+            decode(C, w, colon_power=d_w - 1)
+
+
 def test_word_length_validated(demo_code):
     with pytest.raises(ValueError):
         decode(demo_code, [1, 0])
@@ -259,15 +291,20 @@ def test_degree_is_read_off_the_generating_piece(demo_code, monkeypatch):
     res = decode(demo_code, [1, 1, 0, 1, 0, 0])
     assert res.status is DecodeStatus.AMBIGUOUS and res.neighbor_count == 3
     assert asked == []
-    # beyond the radius the point is read off the same scan, and only an
-    # explicit colon power takes the colon of the product ideal
+    # beyond the radius the point is read off the same scan at every
+    # colon power, and no piece of the product ideal is built
     asked.clear()
     C = LinearCode(PrimeField(2), [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
     res = decode(C, [1, 0, 0, 0, 0])
     assert res.status is DecodeStatus.CORRECTED and res.colon_power == res.d_w == 1
     assert asked == []
     assert decode(C, [1, 0, 0, 0, 0], colon_power=1).point == res.point
-    assert asked == [2]
+    assert asked == []
+    # within it an explicit power past d_w still takes the colon at d_w,
+    # from the piece of degree d_w + 1 alone
+    res = decode(demo_code, [0, 1, 1, 1, 0, 0], colon_power=4)
+    assert res.status is DecodeStatus.CORRECTED and res.colon_power == res.d_w + 3 == 4
+    assert asked == [res.d_w + 1]
 
 
 # Generator polynomial of the cyclic [23,12,7] binary Golay code,
