@@ -64,7 +64,8 @@ def _build_parser() -> _Parser:
         type=int,
         default=None,
         help="colon exponent U to report (default d_w); every U >= d_w gives the "
-        "point of U = d_w at its cost, and a smaller U is invalid input",
+        "point of U = d_w at its cost; a smaller U is invalid input on a "
+        "correction, and a negative U on every word",
     )
     sp.add_argument("--oracle", action="store_true", help="cross-check the answer exhaustively")
 

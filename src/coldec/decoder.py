@@ -102,15 +102,19 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     Extraction reads the point off the colon of the product ideal by
     T^u. The colon has saturated from u = d_w on, so every u >= d_w cuts
     out the same point; `colon_power` only sets the reported u (d_w by
-    default), and a u below d_w raises ValueError. Within the radius the
-    colon is taken at d_w, and its linear piece must have dimension k,
-    the point ideal's. Beyond it the scan's last level, which gave the
-    count 1, is that colon's dual: the point is read off its kernel
-    vector (`min_weight_point`) and no ideal is built either.
+    default). A negative u raises ValueError for every word, before
+    classification; a u from 0 to d_w - 1 raises it only where a point is
+    extracted. Within the radius the colon is taken at d_w, and its linear
+    piece must have dimension k, the point ideal's. Beyond it the scan's
+    last level, which gave the count 1, is that colon's dual: the point is
+    read off its kernel vector (`min_weight_point`) and no ideal is built
+    either.
     """
     w = C._vector(w, C.n, "received word")
     if colon_power is not None:
         colon_power = operator.index(colon_power)
+        if colon_power < 0:
+            raise ValueError(f"the colon power must be 0 or more, not {colon_power}")
     p = C.field.p
     d, msg, Cw, d_w = classify(C, w)
     if msg is not None:

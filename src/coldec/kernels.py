@@ -28,15 +28,18 @@ to reduced row echelon form one pivot column at a time, and its new pivot
 rows are back-substituted into the basis by a second product. `reduce` is
 a single product.
 
-That pivot loop, over a residue of 64 cells or more, probes only candidate
-columns: those nonzero below the current row when the list was made. The
-first probe that finds a column zero there rebuilds the list from the
-columns to its right, as everything to its left is zero there too. A
-pivot step touches only the columns from the pivot on; when fewer than
-half the rows are nonzero in the pivot column it updates just those rows,
-otherwise the whole panel, as it always does below 64 cells. Each step is
-reduced mod p at once: delaying that reduction inside the loop measured
-slower.
+Any nonzero entry of a pivot column may serve as the pivot, as the
+reduced form is unique, so the pivot loop takes the one that costs least:
+a 1 in the current row (no swap, no scaling), else the first 1 below it
+(a swap only), else any nonzero entry (a swap and a scaling). Over a
+residue of 64 cells or more the loop probes only candidate columns: those
+nonzero below the current row when the list was made. The first probe
+that finds a column zero there rebuilds the list from the columns to its
+right, as everything to its left is zero there too. A pivot step touches
+only the columns from the pivot on, and in a residue of 64 cells or more
+it updates just the rows that are nonzero in the pivot column; below 64
+cells it updates every row. Each step is reduced mod p at once: delaying
+that reduction inside the loop measured slower.
 
 The odd-p products run through BLAS with delayed modular reduction:
 entries are canonical residues in [0, p), below 2**b with
@@ -120,8 +123,10 @@ def _rref(a, p):
     # column at a time; each step is reduced mod p, so every intermediate
     # stays below p**2, which is below 2**22 wherever the panel is float32
     # and below 2**32 always, and the float arithmetic is exact. Any nonzero
-    # entry may serve as the pivot, since the result is unique. Returns
-    # (rank, pivot columns).
+    # entry may serve as the pivot, since the result is unique, so the
+    # cheapest is taken: a 1 in row r (no swap, no scaling), else the first
+    # 1 below it (a swap), else any nonzero entry (a swap and a scaling).
+    # Returns (rank, pivot columns).
     rows, cols = a.shape
     piv = []
     r = 0
@@ -136,12 +141,17 @@ def _rref(a, p):
     while i < len(candidates):
         c = candidates[i]
         i += 1
-        sel = r + int(a[r:, c].argmax())
-        if a[sel, c] == 0:
-            if big:
-                candidates = (a[r:, c + 1 :].any(axis=0).nonzero()[0] + (c + 1)).tolist()
-                i = 0
-            continue
+        sel = r
+        if a[r, c] != 1:
+            col = a[r:, c]
+            sel += int((col == 1).argmax())
+            if a[sel, c] != 1:
+                sel = r + int(col.argmax())
+                if a[sel, c] == 0:
+                    if big:
+                        candidates = (a[r:, c + 1 :].any(axis=0).nonzero()[0] + (c + 1)).tolist()
+                        i = 0
+                    continue
         # Rows r.. are zero left of c, so only columns c.. change.
         if sel != r:
             tail = a[r, c:].copy()
@@ -152,11 +162,11 @@ def _rref(a, p):
             a[r, c:] = _mod(a[r, c:] * pow(v, -1, p), p)
         f = a[:, c].copy()
         f[r] = 0
-        hit = f.nonzero()[0]
-        if big and 2 * len(hit) < rows:
-            if len(hit):  # update and reduce only the rows to clear
+        if big:  # update and reduce only the rows to clear
+            hit = f.nonzero()[0]
+            if len(hit):
                 a[hit, c:] = _mod(a[hit, c:] - f[hit, None] * a[r, c:], p)
-        elif len(hit):
+        elif f.any():
             a[:, c:] -= f[:, None] * a[r, c:]
             _mod(a[:, c:], p)
         piv.append(c)

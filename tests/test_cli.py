@@ -318,6 +318,32 @@ def test_colon_power_below_d_w_exits_4(demo_files, capsys):
 
 
 @pytest.mark.parametrize(
+    "code_text,word_text,status_rc",
+    [
+        ("2 1 4\n1 1 1 1\n", "1 1 1 1\n", 0),
+        ("2 1 4\n1 1 1 1\n", "1 1 0 0\n", 2),
+        ("2 2 3\n1 1 0\n0 0 1\n", "1 0 0\n", 3),
+    ],
+    ids=["in_code", "ambiguous", "uncorrectable"],
+)
+def test_negative_colon_power_exits_4_for_every_word(tmp_path, capsys, code_text, word_text,
+                                                     status_rc):
+    code = tmp_path / "c.code"
+    code.write_text(code_text)
+    word = tmp_path / "w.word"
+    word.write_text(word_text)
+    rc, _, _ = run(capsys, "decode", str(code), str(word))
+    assert rc == status_rc
+    rc, out, err = run(capsys, "decode", "--colon-power", "-1", str(code), str(word))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: the colon power must be 0 or more")
+    if status_rc == 0:
+        rc, out, _ = run(capsys, "decode", "--colon-power", "0", str(code), str(word))
+        assert rc == 0 and json.loads(out)["status"] == "in_code"
+
+
+@pytest.mark.parametrize(
     "exc",
     [
         MemoryError("Unable to allocate 45.0 GiB for an array"),

@@ -185,6 +185,31 @@ def test_word_length_validated(demo_code):
         decode(demo_code, [1, 0])
 
 
+NEGATIVE_POWER_WORDS = [
+    # (generator rows over GF(2), word, its status)
+    ([[1, 1, 1, 1]], [1, 1, 1, 1], DecodeStatus.IN_CODE),
+    ([[1, 1, 1, 1]], [1, 1, 0, 0], DecodeStatus.AMBIGUOUS),
+    ([[1, 1, 0], [0, 0, 1]], [1, 0, 0], DecodeStatus.UNCORRECTABLE),
+    ([[1, 1, 1, 1]], [1, 0, 0, 0], DecodeStatus.CORRECTED),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,word,status", NEGATIVE_POWER_WORDS, ids=[s.value for *_, s in NEGATIVE_POWER_WORDS]
+)
+def test_negative_colon_power_is_refused_for_every_word(monkeypatch, rows, word, status):
+    # refused before classification, whatever the word's status would be;
+    # U = 0 is a valid power and decodes a codeword as in_code
+    C = LinearCode(PrimeField(2), rows)
+    assert decode(C, word).status is status
+    with monkeypatch.context() as m:
+        m.setattr("coldec.decoder.classify", lambda *args: pytest.fail("classified"))
+        with pytest.raises(ValueError, match="colon power must be 0 or more"):
+            decode(C, word, colon_power=-1)
+    if status is DecodeStatus.IN_CODE:
+        assert decode(C, word, colon_power=0).status is DecodeStatus.IN_CODE
+
+
 @pytest.mark.parametrize("colon_power", [2.5, 1.0, "1"])
 def test_colon_power_must_be_an_integer(demo_code, demo_word, colon_power):
     # refused up front, on a fresh code and on one with a cached distance

@@ -124,10 +124,19 @@ def _echelon_panel(rng, p, rows, cols, pivots):
             return L @ R % p
 
 
-@pytest.mark.parametrize("p", [2, 3, 65521])
+def _unit_upper(rng, p, rows, cols):
+    # Rows in echelon form with a 1 at column i of row i, zero left of it
+    # and random right of it; rows need not exceed cols.
+    a = np.triu(rng.integers(0, p, size=(rows, cols)), 1)
+    a[np.arange(rows), np.arange(rows)] = 1
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 65521])
 def test_pivot_loop_branches_match_reference(p):
     # Panels aimed at each branch of the residue's pivot loop, checked bit
-    # for bit against the loop reference through every public surface.
+    # for bit against the loop reference through every public surface, and
+    # through the pivot loop itself on float32 and float64 panels.
     rng = np.random.default_rng(97 + p)
     cases = []
     # Tall 64-row panels of residue rank far below 64: pivots separated by
@@ -137,19 +146,40 @@ def test_pivot_loop_branches_match_reference(p):
         a = _echelon_panel(rng, p, 64, 210, pivots)
         a[:, 100:120] = 0
         cases.append(a)
-    # Sparse rows under dense ones: early pivot columns are nonzero in more
-    # than half the rows (the whole-panel update), later ones in fewer (the
-    # update of just the rows to clear).
+    # Sparse rows under dense ones: early pivot columns are nonzero in most
+    # rows, later ones in few; either way only those rows are updated.
     a = rng.integers(0, p, size=(64, 120))
     a[24:] *= rng.random((40, 120)) < 0.05
     cases.append(a)
     a = rng.integers(0, p, size=(64, 90)) * (rng.random((64, 90)) < 0.1)
     cases.append(a)
+    # Each pivot case at every step, in panels of 64 cells or more and
+    # below: a 1 in row r (unit upper triangular rows), a 1 only below row
+    # r (those rows reversed), and, for odd p, no 1 in the column (twice
+    # those rows, in either order). Then a first column nonzero in every
+    # row, and a first column whose only 1 lies below row 0, under entries
+    # that are 0 or not 1.
+    for rows, cols in [(64, 100), (4, 7), (7, 9)]:
+        upper = _unit_upper(rng, p, rows, cols)
+        cases += [upper, upper[::-1].copy()]
+        if p > 2:
+            cases += [2 * upper % p, (2 * upper % p)[::-1].copy()]
+        a = rng.integers(0, p, size=(rows, cols))
+        a[:, 0] = rng.integers(1, p, size=rows)
+        cases.append(a)
+        a = rng.integers(0, p, size=(rows, cols))
+        a[:, 0] = rng.integers(2, p, size=rows) * (rng.random(rows) < 0.5) if p > 2 else 0
+        a[rows // 2, 0] = 1
+        cases.append(a)
+    if p == 251:  # 256 columns or more put GF(251) elimination in float64
+        cases.append(_echelon_panel(rng, p, 64, 300, [0, 2, 150, 299]))
     # Panels below 64 cells, dense and low-rank, including a single row or
     # column.
     for rows, cols in [(1, 5), (5, 1), (3, 7), (7, 9), (9, 7), (4, 15)]:
         cases.append(rng.integers(0, p, size=(rows, cols)))
         cases.append(_echelon_panel(rng, p, rows, cols, [min(1, cols - 1)]))
+    # float32 holds every intermediate of the pivot loop while p**2 < 2**22
+    dtypes = (np.float32, np.float64) if p * p < 2**22 else (np.float64,)
     for a in cases:
         rows, cols = a.shape
         members = rng.integers(0, p, size=(2, rows)) @ a % p
@@ -157,6 +187,13 @@ def test_pivot_loop_branches_match_reference(p):
         _check_against_reference(a, p, [rows], extra)
         half = rows // 2
         _check_against_reference(a, p, [half, rows - half], extra)
+        ref = a.copy()
+        ref_r, ref_piv = _rref_loops(ref, p)
+        for dtype in dtypes:
+            panel = a.astype(dtype)
+            r, piv = kernels._rref(panel, p)
+            assert (r, piv) == (ref_r, ref_piv.tolist()), (p, dtype, a.tolist())
+            assert panel.astype(np.int64).tolist() == ref.tolist(), (p, dtype, a.tolist())
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
