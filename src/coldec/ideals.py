@@ -85,8 +85,7 @@ class LinearFormSpace:
                 f"linear forms in {nvars} variables need an (m, {nvars}) table, "
                 f"got shape {rows.shape}"
             )
-        r, rank, _ = kernels.rref_array(rows, field.p) if rows.shape[0] else (rows, 0, None)
-        basis = r[:rank].copy()
+        basis = kernels.rref_array(rows, field.p)[0]
         basis.flags.writeable = False
         self.field = field
         self.nvars = nvars

@@ -3,7 +3,8 @@
 `Echelon` keeps a fully reduced basis: each stored row has its leftmost
 nonzero entry, a one, at its pivot column and is zero in every other
 pivot column. `reduce` gives the residue of rows against it, and
-`rref_array` is the same accumulator with its rows sorted by pivot column.
+`rref_array` returns the same accumulator's rows sorted by pivot column,
+rank rows and no zero rows below them.
 The interface is one; the row encoding depends on p alone.
 
 Over GF(2) the basis is bit-packed, after M4RI (Albrecht, Bard, Hart,
@@ -31,15 +32,15 @@ a single product.
 Any nonzero entry of a pivot column may serve as the pivot, as the
 reduced form is unique, so the pivot loop takes the one that costs least:
 a 1 in the current row (no swap, no scaling), else the first 1 below it
-(a swap only), else any nonzero entry (a swap and a scaling). Over a
-residue of 64 cells or more the loop probes only candidate columns: those
-nonzero below the current row when the list was made. The first probe
-that finds a column zero there rebuilds the list from the columns to its
-right, as everything to its left is zero there too. A pivot step touches
-only the columns from the pivot on, and in a residue of 64 cells or more
-it updates just the rows that are nonzero in the pivot column; below 64
-cells it updates every row. Each step is reduced mod p at once: delaying
-that reduction inside the loop measured slower.
+(a swap only), else any nonzero entry (a swap and a scaling). Every
+residue, whatever its size, takes the same step. The loop probes only
+candidate columns: those nonzero below the current row when the list was
+made. The first probe that finds a column zero there rebuilds the list
+from the columns to its right, as everything to its left is zero there
+too. A pivot step touches only the columns from the pivot on and updates
+just the rows that are nonzero in the pivot column. Each step is reduced
+mod p at once, by `_mod`'s floor quotient: delaying that reduction inside
+the loop measured slower.
 
 The odd-p products run through BLAS with delayed modular reduction:
 entries are canonical residues in [0, p), below 2**b with
@@ -104,13 +105,13 @@ def _mod(x, p):
     # 2**24 in float32 or 2**53 in float64 (the mantissa's range). The
     # correctly rounded quotient x/p then lies within less than 1/p of the
     # true one, so it never crosses an integer and its floor is exact, as
-    # is the floor times p. From about 64 cells up this is several times
-    # faster than np.remainder; below that np.remainder's single call is
-    # cheaper. A Python float divisor spares numpy a mixed-type dispatch and,
-    # as a scalar, keeps x's float type under every numpy casting rule.
+    # is the floor times p. This one reduction serves arrays of every size:
+    # it is several times faster than np.remainder from about 64 cells up,
+    # and the smaller arrays of the pivot loop are too few to pay for a
+    # second regime. A Python float divisor spares numpy a mixed-type
+    # dispatch and, as a scalar, keeps x's float type under every numpy
+    # casting rule.
     p = float(p)
-    if x.size < 64:
-        return np.remainder(x, p, out=x)
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -126,17 +127,15 @@ def _rref(a, p):
     # entry may serve as the pivot, since the result is unique, so the
     # cheapest is taken: a 1 in row r (no swap, no scaling), else the first
     # 1 below it (a swap), else any nonzero entry (a swap and a scaling).
-    # Returns (rank, pivot columns).
-    rows, cols = a.shape
+    # Panels of every size take the same step. Returns (rank, pivot
+    # columns).
+    rows = a.shape[0]
     piv = []
     r = 0
-    # Below 64 cells the numpy calls that skip work cost more than the work
-    # they skip, so a tiny panel probes every column and updates every row.
-    big = a.size >= 64
     # Columns still to probe: those nonzero in some row r.. when listed.
     # Once a probe finds a column zero below row r, every column up to it
     # is too, so the list is rebuilt from the columns right of it.
-    candidates = a.any(axis=0).nonzero()[0].tolist() if big else list(range(cols))
+    candidates = a.any(axis=0).nonzero()[0].tolist()
     i = 0
     while i < len(candidates):
         c = candidates[i]
@@ -148,9 +147,8 @@ def _rref(a, p):
             if a[sel, c] != 1:
                 sel = r + int(col.argmax())
                 if a[sel, c] == 0:
-                    if big:
-                        candidates = (a[r:, c + 1 :].any(axis=0).nonzero()[0] + (c + 1)).tolist()
-                        i = 0
+                    candidates = (a[r:, c + 1 :].any(axis=0).nonzero()[0] + (c + 1)).tolist()
+                    i = 0
                     continue
         # Rows r.. are zero left of c, so only columns c.. change.
         if sel != r:
@@ -160,15 +158,12 @@ def _rref(a, p):
         v = int(a[r, c])
         if v != 1:
             a[r, c:] = _mod(a[r, c:] * pow(v, -1, p), p)
+        # Update and reduce only the rows to clear.
         f = a[:, c].copy()
         f[r] = 0
-        if big:  # update and reduce only the rows to clear
-            hit = f.nonzero()[0]
-            if len(hit):
-                a[hit, c:] = _mod(a[hit, c:] - f[hit, None] * a[r, c:], p)
-        elif f.any():
-            a[:, c:] -= f[:, None] * a[r, c:]
-            _mod(a[:, c:], p)
+        hit = f.nonzero()[0]
+        if len(hit):
+            a[hit, c:] = _mod(a[hit, c:] - f[hit, None] * a[r, c:], p)
         piv.append(c)
         r += 1
         if r == rows:
@@ -330,20 +325,16 @@ def _as_matrix(rows, p) -> np.ndarray:
 def rref_array(a, p: int):
     """Reduced row echelon form over GF(p).
 
-    Returns (R, rank, pivots) where R is a fresh canonical-residue array.
-    The input is not modified.
+    Returns (R, rank, pivots) where R is a fresh int64 array of shape
+    (rank, cols) holding the nonzero reduced rows of `a`, sorted by pivot
+    column, in canonical residues. The input is not modified.
     """
     p = modulus(p)
     m = _as_matrix(a, p)
-    rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return m, 0, ()
-    basis = _basis(cols, p)
+    basis = _basis(m.shape[1], p)
     rank = basis.absorb(m)
     reduced, pivots = basis.unpack()
-    m[:rank] = reduced
-    m[rank:] = 0
-    return m, rank, pivots
+    return reduced.astype(np.int64), rank, pivots
 
 
 class Echelon:
@@ -433,8 +424,6 @@ def rank_of_rows(rows, p: int) -> int:
     """Rank of a stack of rows over GF(p)."""
     p = modulus(p)
     rows = _as_matrix(rows, p)
-    if rows.shape[0] == 0 or rows.shape[1] == 0:
-        return 0
     acc = Echelon(rows.shape[1], p)
     return acc.insert(rows, consume=True)
 

@@ -61,8 +61,8 @@ class MatrixGF:
         free variables are 0. The zero-dimensional case is a (0, cols)
         array.
         """
-        r, rk, piv = kernels.rref_array(self.a, self.field.p)
-        return kernels._kernel_of_reduced(r[:rk], piv, self.a.shape[1], self.field.p)
+        r, _, piv = kernels.rref_array(self.a, self.field.p)
+        return kernels._kernel_of_reduced(r, piv, self.a.shape[1], self.field.p)
 
 
 def solve(field: PrimeField, a, b) -> np.ndarray | None:
@@ -100,5 +100,4 @@ def preimage_of_colspace(field: PrimeField, a, b) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"row-count mismatch: shapes {a.shape} and {b.shape}")
     ns = MatrixGF(field, np.concatenate([a, b], axis=1)).nullspace()
-    r, rk, _ = kernels.rref_array(ns[:, a.shape[1] :], field.p)
-    return r[:rk].copy()
+    return kernels.rref_array(ns[:, a.shape[1] :], field.p)[0]

@@ -26,14 +26,10 @@ from coldec.ideals import (
     verify_power_containment,
     verify_saturation_identity,
 )
-from coldec.oracle import (
-    count_at_distance,
-    enumerate_min_distance,
-    nearest_neighbors,
-    projective_words_of_weight,
-)
+from coldec.oracle import count_at_distance, enumerate_min_distance, nearest_neighbors
 from coldec.polybasis import checked_binomial
 from conftest import DEMO_G, DEMO_W, random_small_code
+from oracle_helpers import projective_words_of_weight
 
 DEMO_CODE_TEXT = "2 3 6\n" + "\n".join(" ".join(map(str, row)) for row in DEMO_G) + "\n"
 

@@ -16,9 +16,10 @@ import sympy
 
 from coldec.decoder import classify
 from coldec.ideals import build_ideal, hilbert_function, ideal_degree, min_distance
-from coldec.oracle import projective_min_weight_count, projective_words_of_weight
+from coldec.oracle import projective_min_weight_count
 from coldec.polybasis import monomial_basis
 from conftest import random_code
+from oracle_helpers import projective_words_of_weight
 
 
 def groebner_hilbert_function(C, g):

@@ -9,21 +9,23 @@ import numpy as np
 import pytest
 
 from coldec import kernels
+from coldec.field import PrimeField
+from coldec.ideals import LinearFormSpace
 from reference_kernels import _echelon_insert_loops, _reduce_rows_loops, _rref_loops
 
 
 def test_rref_known_values():
     R, r, piv = kernels.rref_array(np.array([[1, 1], [1, 1]]), 2)
     assert r == 1 and piv == (0,)
-    assert R.tolist() == [[1, 1], [0, 0]]
+    assert R.tolist() == [[1, 1]]
 
     R, r, piv = kernels.rref_array(np.array([[1, 2], [2, 4]]), 5)
     assert r == 1 and piv == (0,)
-    assert R.tolist() == [[1, 2], [0, 0]]
+    assert R.tolist() == [[1, 2]]
 
     R, r, piv = kernels.rref_array(np.array([[2, 4, 2], [1, 2, 4], [0, 0, 3]]), 7)
     assert r == 2 and piv == (0, 2)
-    assert R.tolist() == [[1, 2, 0], [0, 0, 1], [0, 0, 0]]
+    assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
 
 
 def _check_against_reference(a, p, blocks, extra):
@@ -52,7 +54,7 @@ def _check_against_reference(a, p, blocks, extra):
     _reduce_rows_loops(ref_basis, ref_pivrow, ref_reduced, p)
 
     case = (p, a.tolist(), list(blocks))
-    assert R.tolist() == ref_R.tolist(), case
+    assert R.tolist() == ref_R[:ref_r].tolist(), case
     assert r == ref_r == acc.rank == ref_rank, case
     assert piv == tuple(ref_piv.tolist()), case
     assert pivcols == tuple(np.nonzero(ref_pivrow >= 0)[0].tolist()), case
@@ -153,8 +155,8 @@ def test_pivot_loop_branches_match_reference(p):
     cases.append(a)
     a = rng.integers(0, p, size=(64, 90)) * (rng.random((64, 90)) < 0.1)
     cases.append(a)
-    # Each pivot case at every step, in panels of 64 cells or more and
-    # below: a 1 in row r (unit upper triangular rows), a 1 only below row
+    # Each pivot case at every step, in panels of 64 rows and in small
+    # ones: a 1 in row r (unit upper triangular rows), a 1 only below row
     # r (those rows reversed), and, for odd p, no 1 in the column (twice
     # those rows, in either order). Then a first column nonzero in every
     # row, and a first column whose only 1 lies below row 0, under entries
@@ -268,9 +270,9 @@ def test_gf2_full_rank_squares_and_zero_rows_match_reference(n):
 
 @pytest.mark.parametrize("cols", PACKED_COLS)
 def test_gf2_packed_rref_equals_the_float_pivot_loop(cols):
-    # The whole reduced array, zero rows below the rank included, against
-    # the float64 pivot loop of odd p as a reference: random and zero
-    # matrices of one row, a few rows, and one row either side of a panel.
+    # The reduced rows against the float64 pivot loop of odd p as a
+    # reference: random and zero matrices of one row, a few rows, and one
+    # row either side of a panel.
     rng = np.random.default_rng(800 + cols)
     for rows in (1, 5, 63, 64, 65):
         for a in (rng.integers(0, 2, size=(rows, cols)), np.zeros((rows, cols), np.int64)):
@@ -278,7 +280,7 @@ def test_gf2_packed_rref_equals_the_float_pivot_loop(cols):
             rank, piv = kernels._rref(loop, 2)
             R, r, pivots = kernels.rref_array(a, 2)
             assert (r, pivots) == (rank, tuple(piv))
-            assert R.dtype == np.int64 and R.tolist() == loop.astype(np.int64).tolist()
+            assert R.dtype == np.int64 and R.tolist() == loop[:rank].astype(np.int64).tolist()
 
 
 @pytest.mark.parametrize("cols", PACKED_COLS)
@@ -615,11 +617,25 @@ def test_rank_of_rows_matches_rref():
 
 
 def test_zero_and_empty_matrices():
-    R, r, piv = kernels.rref_array(np.zeros((3, 4), dtype=np.int64), 3)
-    assert r == 0 and piv == ()
-    acc = kernels.Echelon(4, 3)
-    assert acc.insert(np.zeros((2, 4), dtype=np.int64)) == 0
-    assert acc.rank == 0
+    # rref_array returns just the reduced rows: an int64 (rank, cols) array,
+    # with no zero rows below the rank, in every row encoding and on empty
+    # inputs too.
+    deficient = np.array([[1, 1, 0, 1], [2, 2, 0, 2], [0, 0, 1, 1]])
+    empty = [np.zeros(shape, np.int64) for shape in ((0, 4), (3, 0), (0, 0))]
+    cases = [(np.zeros((3, 4), np.int64), 0, ()), (deficient, 2, (0, 2))]
+    cases += [(a, 0, ()) for a in empty]
+    for p in (2, 3, 65521):
+        for a, rank, pivots in cases:
+            R, r, piv = kernels.rref_array(a, p)
+            assert (r, piv) == (rank, pivots), (p, a.shape)
+            assert R.dtype == np.int64 and R.shape == (rank, a.shape[1]), (p, a.shape)
+        assert kernels.rref_array(deficient, p)[0].tolist() == [[1, 1, 0, 1], [0, 0, 1, 1]]
+        for a in empty:
+            assert kernels.rank_of_rows(a, p) == 0, (p, a.shape)
+        assert LinearFormSpace(PrimeField(p), 4, np.zeros((0, 4), np.int64)).dim == 0
+        acc = kernels.Echelon(4, p)
+        assert acc.insert(np.zeros((2, 4), dtype=np.int64)) == 0
+        assert acc.rank == 0
 
 
 def test_warmup_is_idempotent():

@@ -10,10 +10,10 @@ from coldec.oracle import (
     enumerate_min_distance,
     nearest_neighbors,
     projective_min_weight_count,
-    projective_words_of_weight,
     weight_distribution,
 )
 from conftest import random_code
+from oracle_helpers import projective_words_of_weight
 
 
 def test_enumerate_min_distance_demo(demo_code, hamming_code):
@@ -123,8 +123,9 @@ def test_oracle_identities_randomized():
             assert ((w - v) % p != 0).sum() == d_w
 
 
-# Each integer argument of the oracle, called on the worked code and word
-# with the integer that `x` makes of a Python int.
+# Each integer argument of the oracle and of the tests' word listing,
+# called on the worked code and word with the integer that `x` makes of a
+# Python int.
 INTEGER_ARGUMENTS = {
     "count_at_distance": lambda C, w, x: count_at_distance(C, w, x(2)),
     "projective_words_of_weight": lambda C, w, x: projective_words_of_weight(C, x(3)).tolist(),
