@@ -219,42 +219,56 @@ class IdealPiece:
 def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
     """Coefficient rows of all products of s distinct rows of `forms`, in blocks.
 
-    Subsets come in lexicographic order. Each block is a fresh C-contiguous
-    int64 array of `size` rows (the last one may be shorter), yielded as
-    soon as its last row is written, so no product is computed ahead of
-    the block being filled. A stack keeps the products of each subset's
-    prefixes; only those from the first position that changed are
-    recomputed, so each prefix costs one linear-form multiplication.
+    Subsets come by their largest row m, smallest m first, and with the
+    same m in lexicographic order of the other s - 1 rows. Each block is a
+    fresh C-contiguous int64 array of `size` rows (the last one may be
+    shorter), yielded as soon as its last row is written, so no product is
+    computed ahead of the block being filled.
+
+    A product is taken with m as its first factor, so the products of one
+    m share it. A stack keeps the products of each subset's prefixes; only
+    those from the first position that changed are recomputed, so each
+    prefix costs one linear-form multiplication, as many as in
+    lexicographic order. The loops run over stems, a subset's factors but
+    its last, and then over that last factor: m, an (s-2)-subset `inner`
+    of the rows below m - 1, and a last row between inner's and m. For
+    s = 1 one pseudo-group with the empty stem runs over every row.
     """
     n, nvars = forms.shape
     left = math.comb(n, s)
     cols = monomial_basis(nvars, s).size
     forms = list(forms)  # a list index is cheaper than a fresh view per product
-    prefix = [np.ones(1, np.int64)] + [None] * (s - 1)  # product of the first d forms
-    prev = (-1,) * s
+    prefix = [np.ones(1, np.int64)] + [None] * (s - 1)  # product of a stem's first d factors
     r = 0
-    for combo in itertools.combinations(range(n), s):
-        i = 0
-        while combo[i] == prev[i]:
-            i += 1
-        for d in range(i, s - 1):
-            prefix[d + 1] = multiply_by_form(prefix[d], d, forms[combo[d]], p)
-        if r == 0:
-            block = np.empty((min(size, left), cols), np.int64)
-        block[r] = multiply_by_form(prefix[s - 1], s - 1, forms[combo[s - 1]], p)
-        r += 1
-        if r == block.shape[0]:
-            left -= r
-            r = 0
-            yield block
-        prev = combo
+    for m in range(s - 1, n) if s > 1 else (n,):
+        if s > 1:
+            prefix[1] = multiply_by_form(prefix[0], 0, forms[m], p)
+        prev = None
+        for inner in itertools.combinations(range(m - 1), max(s - 2, 0)):
+            i = 0
+            if prev is not None:
+                while inner[i] == prev[i]:
+                    i += 1
+            for d in range(i, s - 2):
+                prefix[d + 2] = multiply_by_form(prefix[d + 1], d + 1, forms[inner[d]], p)
+            for j in range(inner[-1] + 1 if inner else 0, m):
+                if r == 0:
+                    block = np.empty((min(size, left), cols), np.int64)
+                block[r] = multiply_by_form(prefix[s - 1], s - 1, forms[j], p)
+                r += 1
+                if r == block.shape[0]:
+                    left -= r
+                    r = 0
+                    yield block
+            prev = inner
 
 
 def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     """The ideal generated by all products of s distinct column forms of C.
 
-    Generators appear in lexicographic order of the column subsets, one
-    row per subset.
+    Generators come one row per column subset, in the order of the
+    distance scan (`_product_blocks`): by largest column, smallest first,
+    and with the same largest column in lexicographic order of the others.
     """
     s = operator.index(s)
     if not 1 <= s <= C.n:
@@ -273,12 +287,25 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     scanned: a zero coordinate never carries weight, and every product
     through its (zero) form vanishes.
 
-    Each level's product rows are eliminated in blocks of 64, and no
-    block is read after the level fills up. The scan stops at level d+1,
-    the first level that is not full, and caches its echelon on the code
-    next to d: its codimension HF(d+1) is the number of projective
-    minimum-weight codewords (see `ideal_degree`), and its kernel carries
-    the point of `min_weight_point` when that number is 1.
+    Each level's product rows are eliminated in blocks of 64, in the
+    subset order of `_product_blocks`, and no block is generated after the
+    level is decided. It is decided when it fills up, when its rows run
+    out, or after a block that leaves the rank one short of full with rows
+    still to come. There the one kernel vector v is read as a point P the
+    way `min_weight_point` reads it (see `_kernel_point`). The levels
+    below are full, so d >= s - 1. If the codeword P G has weight at most
+    s - 1, every product of s distinct forms has a factor vanishing at P,
+    so the level lies in the hyperplane of forms vanishing at P, which the
+    rows so far already span: the level is not full, and its echelon is
+    final. Otherwise the level is full: were it not, d would be s - 1, the
+    rows so far would span the whole level, and v would be the evaluation
+    vector of a codeword of weight s - 1, which the reading recovers.
+
+    The scan stops at level d+1, the first level that is not full, and
+    caches its echelon on the code next to d: its codimension HF(d+1) is
+    the number of projective minimum-weight codewords (see
+    `ideal_degree`), and its kernel carries the point of
+    `min_weight_point` when that number is 1.
 
     With an integer `cap` (at least 1) the scan also returns once level
     `cap` is full, so the result is min(d, cap) and no level above `cap` is
@@ -296,13 +323,9 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     forms = C.G.a[:, C.G.a.any(axis=0)].T
     s = 1
     while True:
-        target = monomial_basis(C.k, s).size
-        acc = kernels.Echelon(target, p)
-        for block in _product_blocks(forms, s, p, 64):
-            if acc.insert(block, consume=True) == target:
-                break
-        if acc.rank < target:
-            C._min_level = acc
+        level = _short_level(forms, s, p)
+        if level is not None:
+            C._min_level = level
             C._dmin = s - 1
             return C._dmin
         if s == cap:  # d >= cap; the exact value is not known, so not cached
@@ -310,6 +333,35 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         s += 1
         if s > C.n + 1:  # unreachable: products of more than n factors cannot span
             raise RuntimeError("minimum-distance scan failed to terminate")
+
+
+def _short_level(forms: np.ndarray, s: int, p: int):
+    # The echelon of level s of the distance scan when that level is not
+    # full, else None; the levels below it must be full (see min_distance).
+    nvars = forms.shape[1]
+    target = monomial_basis(nvars, s).size
+    acc = kernels.Echelon(target, p)
+    left = math.comb(forms.shape[0], s)
+    for block in _product_blocks(forms, s, p, 64):
+        left -= block.shape[0]
+        rank = acc.insert(block, consume=True)
+        if rank == target:
+            return None
+        if rank == target - 1 and left:
+            P = _kernel_point(acc.kernel()[0], nvars, s)
+            short = P is not None and np.count_nonzero(forms @ P % p) < s
+            return acc if short else None
+    return acc
+
+
+def _kernel_point(v: np.ndarray, nvars: int, s: int):
+    # The point P of a degree-s evaluation vector v = c P^a: j is the last
+    # index with v[x_j^s] != 0, so P_j != 0, and P_i = v[x_i x_j^(s-1)] =
+    # c P_j^(s-1) P_i. None when v is zero at every x_j^s, as no nonzero
+    # evaluation vector is.
+    maps = monomial_basis(nvars, 1).power_maps(s - 1)
+    j = np.flatnonzero(v[maps.diagonal()])
+    return v[maps[j[-1]]] if j.size else None
 
 
 def min_weight_count(C: "LinearCode") -> int:
@@ -343,10 +395,7 @@ def min_weight_point(C: "LinearCode") -> ProjectivePoint:
     count = min_weight_count(C)
     if count != 1:
         raise ValueError(f"{count} projective minimum-weight codewords, not one")
-    v = C._min_level.kernel()[0]
-    maps = monomial_basis(C.k, 1).power_maps(C._dmin)
-    j = np.flatnonzero(v[maps.diagonal()])[-1]
-    return ProjectivePoint(C.field, v[maps[j]])
+    return ProjectivePoint(C.field, _kernel_point(C._min_level.kernel()[0], C.k, C._dmin + 1))
 
 
 def hilbert_function(ideal: IdealPiece, m: int) -> int:

@@ -219,6 +219,14 @@ class _FloatRows:
         red -= red[:, self.piv] @ basis
         return _mod(red, self.p).astype(np.int64)
 
+    def columns(self, idx):
+        # The rows' entries in columns idx as int64, rows in the order of
+        # pivots(); the rest of the basis is not copied.
+        return self.basis[: len(self.piv), idx].astype(np.int64)
+
+    def pivots(self):
+        return self.piv
+
     def unpack(self):
         # The rows ordered by pivot column, and those columns; rows that
         # came from a single panel already are.
@@ -292,6 +300,15 @@ class _PackedRows:
 
     def reduce(self, rows):
         return _unpacked([self._residue(x) for x in _packed(rows)], self.cols).astype(np.int64)
+
+    def columns(self, idx):
+        # Bit by bit, so no row is unpacked.
+        idx = idx.tolist()
+        out = np.array([[(y >> f) & 1 for f in idx] for y in self.rows.values()], np.int64)
+        return out.reshape(len(self.rows), len(idx))
+
+    def pivots(self):
+        return list(self.rows)
 
     def unpack(self):
         pivots = sorted(self.rows)
@@ -400,23 +417,29 @@ class Echelon:
 
         One int64 row per free column f: 1 at f, minus the basis rows'
         entries in column f at their pivots (the rows are fully reduced),
-        zero elsewhere.
+        zero elsewhere. Only the basis's entries in the free columns are
+        copied, never the whole basis.
         """
-        rows, pivots = self.basis_rows()
-        return _kernel_of_reduced(rows, pivots, self.cols, self.p)
+        pivots = self._basis.pivots()
+        free = _free_columns(pivots, self.cols)
+        return _kernel_of_reduced(self._basis.columns(free), pivots, free, self.cols, self.p)
 
 
-def _kernel_of_reduced(rows, pivots, cols: int, p: int) -> np.ndarray:
-    # Canonical kernel basis of fully reduced int64 rows with these pivot
-    # columns: one row per free column f, 1 at f, minus the rows' entries
-    # in column f at their pivots, zero elsewhere.
-    pivots = list(pivots)
+def _free_columns(pivots, cols: int) -> np.ndarray:
+    # The columns that are not pivots, in increasing order.
     free = np.ones(cols, bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
+    free[list(pivots)] = False
+    return np.flatnonzero(free)
+
+
+def _kernel_of_reduced(at_free, pivots, free, cols: int, p: int) -> np.ndarray:
+    # Canonical kernel basis of fully reduced int64 rows of canonical
+    # residues, row i with pivot column pivots[i], given by their entries
+    # `at_free` in the free columns `free`: one row per free column f, 1 at
+    # f, minus the rows' entries in column f at their pivots, zero elsewhere.
     ker = np.zeros((free.size, cols), np.int64)
     ker[np.arange(free.size), free] = 1
-    ker[:, pivots] = -rows[:, free].T % p
+    ker[:, list(pivots)] = -at_free.T % p
     return ker
 
 

@@ -61,8 +61,10 @@ class MatrixGF:
         free variables are 0. The zero-dimensional case is a (0, cols)
         array.
         """
+        cols = self.a.shape[1]
         r, _, piv = kernels.rref_array(self.a, self.field.p)
-        return kernels._kernel_of_reduced(r, piv, self.a.shape[1], self.field.p)
+        free = kernels._free_columns(piv, cols)
+        return kernels._kernel_of_reduced(r[:, free], piv, free, cols, self.field.p)
 
 
 def solve(field: PrimeField, a, b) -> np.ndarray | None:

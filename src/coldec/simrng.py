@@ -1,10 +1,10 @@
 """Reproducible simulation randomness.
 
 The channel simulator derives one independent SplitMix64 stream per trial
-from (seed, trial index), so results are identical for any thread count
-and any execution order. SplitMix64 state update: add the 64-bit golden
-gamma 0x9E3779B97F4A7C15, then finalize with the xor-shift-multiply mix
-(30/0xBF58476D1CE4E5B9, 27/0x94D049BB133111EB, 31). Bounded draws use
+from (seed, trial index), so a trial's draws depend on those two alone,
+not on the trials run before it. SplitMix64 state update: add the 64-bit
+golden gamma 0x9E3779B97F4A7C15, then finalize with the xor-shift-multiply
+mix (30/0xBF58476D1CE4E5B9, 27/0x94D049BB133111EB, 31). Bounded draws use
 rejection sampling on the top of the range, so they are unbiased.
 """
 

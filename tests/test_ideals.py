@@ -8,7 +8,7 @@ import pytest
 
 from coldec import LinearCode, PrimeField, decode, min_distance
 from coldec.decoder import classify
-from coldec import ideals
+from coldec import ideals, kernels
 from coldec.ideals import (
     IdealPiece,
     LinearFormSpace,
@@ -493,13 +493,14 @@ def test_hilbert_function_stabilizes_at_ideal_degree():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_product_blocks_are_the_products_of_column_subsets(p):
-    # Concatenated blocks equal the products over itertools.combinations;
-    # every block is a fresh C-contiguous int64 array of `size` rows, the
-    # last one possibly shorter.
+    # Concatenated blocks equal the products over the column subsets taken
+    # by largest column, then lexicographically; every block is a fresh
+    # C-contiguous int64 array of `size` rows, the last one possibly shorter.
     rng = np.random.default_rng(100 + p)
     forms = rng.integers(0, p, size=(9, 4))
     for s in (1, 3, 9):
-        combos = list(itertools.combinations(range(9), s))
+        combos = [c + (m,) for m in range(9) for c in itertools.combinations(range(m), s - 1)]
+        assert combos == sorted(itertools.combinations(range(9), s), key=lambda c: (c[-1], c))
         want = np.stack([product_of_linear_forms(forms[list(c)], p) for c in combos])
         for size in (1, 64, len(combos)):
             blocks = list(ideals._product_blocks(forms, s, p, size))
@@ -514,6 +515,8 @@ def test_product_blocks_compute_no_row_ahead(monkeypatch):
     # A block is yielded as soon as its last row is written: the first
     # subset costs one product per position, and each later row of level
     # 3 of 5 forms costs one product per node of the prefix tree it opens.
+    # The largest column is the first factor, so a new largest column
+    # opens three nodes.
     calls = []
     real = ideals.multiply_by_form
 
@@ -525,9 +528,9 @@ def test_product_blocks_compute_no_row_ahead(monkeypatch):
     forms = np.eye(5, 3, dtype=np.int64)
     gen = ideals._product_blocks(forms, 3, 2, 1)
     seen = []
-    for block in gen:  # (0,1,2) (0,1,3) (0,1,4) (0,2,3) ...
+    for block in gen:  # (2,0,1) (3,0,1) (3,0,2) (3,1,2) (4,0,1) ...
         seen.append(len(calls))
-    assert seen == [3, 4, 5, 7, 8, 10, 13, 14, 16, 19]
+    assert seen == [3, 6, 7, 9, 12, 13, 14, 16, 17, 19]
     assert calls[:3] == [0, 1, 2]
 
 
@@ -547,3 +550,81 @@ def test_one_level_multiplies_once_per_prefix(monkeypatch):
     assert I.gens.shape == (1001, monomial_basis(6, 4).size)
     assert len(calls) == sum(checked_binomial(10 + d, d) for d in range(1, 5)) == 1364
     assert [calls.count(d) for d in range(4)] == [11, 66, 286, 1001]
+
+
+# The seeded [14,6,4] GF(3) code of the gf3-channel benchmark workload.
+GF3_14_6 = [
+    [1, 1, 2, 0, 0, 0, 2, 0, 0, 2, 0, 1, 0, 0],
+    [0, 2, 2, 0, 0, 2, 2, 0, 2, 2, 0, 1, 0, 0],
+    [1, 2, 2, 2, 1, 0, 2, 1, 1, 0, 2, 0, 1, 0],
+    [1, 0, 0, 0, 0, 2, 2, 0, 0, 1, 1, 1, 2, 0],
+    [0, 0, 2, 2, 0, 1, 2, 0, 0, 1, 1, 1, 2, 1],
+    [0, 0, 0, 1, 1, 2, 0, 0, 2, 1, 1, 2, 1, 2],
+]
+
+
+def _prefix_tree(n, s):
+    # Products that level s of n columns costs when every subset is made.
+    return sum(checked_binomial(n - s + d, d) for d in range(1, s + 1))
+
+
+def test_distance_scan_agrees_with_the_oracle_on_multi_block_levels(monkeypatch):
+    # Levels of 10 to 14 columns run over several 64-row blocks, and the
+    # scan settles many of them from the kernel vector once their rank is
+    # one short of full, full ones and the last one alike. The distance,
+    # the count and the cached level must still be those of whole levels.
+    decided = []
+    real = ideals._kernel_point
+
+    def spying(v, nvars, s):
+        decided.append(s)
+        return real(v, nvars, s)
+
+    monkeypatch.setattr(ideals, "_kernel_point", spying)
+    rng = np.random.default_rng(2025)
+    full = short = 0
+    for p, ks in ((2, (4, 5, 6)), (3, (3, 4, 5)), (5, (3, 4)), (7, (3,))):
+        for _ in range(6):
+            C = random_code(rng, p, int(rng.choice(ks)), int(rng.integers(10, 15)))
+            decided.clear()
+            d = min_distance(C)
+            assert d == enumerate_min_distance(C), C.G.a.tolist()
+            assert min_weight_count(C) == projective_min_weight_count(C), C.G.a.tolist()
+            rows, _ = C._min_level.basis_rows()
+            assert rows.tolist() == build_ideal(C, d + 1).piece(d + 1)[0].tolist()
+            full += sum(s <= d for s in decided)
+            short += decided.count(d + 1)
+    assert full >= 10 and short >= 5
+
+
+def test_scan_stops_a_level_its_kernel_vector_decides(monkeypatch):
+    # On the seeded [14,6,4] GF(3) code level 4 (1,001 products, 126
+    # columns) is full and level 5 (2,002 products, 252 columns) has count
+    # 1. Each reaches rank cols - 1 with products to come and is decided
+    # there: it stays one rank short, and fewer products are made than
+    # the level's prefix tree holds.
+    C = LinearCode(PrimeField(3), GF3_14_6)
+    made, calls = [], []
+
+    class Recording(kernels.Echelon):
+        def __init__(self, cols, p):
+            super().__init__(cols, p)
+            made.append(self)
+
+    real = ideals.multiply_by_form
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "Echelon", Recording)
+    monkeypatch.setattr(ideals, "multiply_by_form", counting)
+    for s, full in ((4, True), (5, False)):
+        made.clear()
+        calls.clear()
+        level = ideals._short_level(C.G.a.T, s, 3)
+        assert (level is None) == full
+        assert [acc.cols - acc.rank for acc in made] == [1]
+        assert 0 < len(calls) < _prefix_tree(14, s)
+    assert level is made[0]
+    assert min_distance(C) == 4 and min_weight_count(C) == 1
