@@ -11,6 +11,7 @@ computation limit, such as a graded piece too large to allocate or index).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -241,30 +242,31 @@ def _cmd_simulate(args) -> int:
         correct = res.message is not None and bool(np.array_equal(res.message, msg))
         return trial, res, correct, micros
 
-    rows = [run_trial(i) for i in range(args.trials)]
+    # The CSV file is opened before the first trial, so a path that
+    # cannot be written exits 4 with no trial run and nothing printed.
+    sink = (
+        open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext(sys.stdout)
+    )
+    with sink as out:
+        rows = [run_trial(i) for i in range(args.trials)]
 
-    successes = sum(1 for _, res, correct, _ in rows if correct)
-    ambiguous = sum(1 for _, res, _, _ in rows if res.status is DecodeStatus.AMBIGUOUS)
-    uncorrectable = sum(
-        1 for _, res, _, _ in rows if res.status is DecodeStatus.UNCORRECTABLE
-    )
-    mean_us = sum(micros for _, _, _, micros in rows) / len(rows)
-    print(
-        f"trials={args.trials} successes={successes} ambiguous={ambiguous} "
-        f"uncorrectable={uncorrectable} mean_decode_us={mean_us:.1f}"
-    )
-    csv_lines = ["trial,d_w,status,correct,micros"]
-    for trial, res, correct, micros in rows:
-        d_w = "" if res.d_w is None else str(res.d_w)
-        csv_lines.append(
-            f"{trial},{d_w},{res.status.value},{'true' if correct else 'false'},{micros}"
+        successes = sum(1 for _, res, correct, _ in rows if correct)
+        ambiguous = sum(1 for _, res, _, _ in rows if res.status is DecodeStatus.AMBIGUOUS)
+        uncorrectable = sum(
+            1 for _, res, _, _ in rows if res.status is DecodeStatus.UNCORRECTABLE
         )
-    body = "\n".join(csv_lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        mean_us = sum(micros for _, _, _, micros in rows) / len(rows)
+        print(
+            f"trials={args.trials} successes={successes} ambiguous={ambiguous} "
+            f"uncorrectable={uncorrectable} mean_decode_us={mean_us:.1f}"
+        )
+        csv_lines = ["trial,d_w,status,correct,micros"]
+        for trial, res, correct, micros in rows:
+            d_w = "" if res.d_w is None else str(res.d_w)
+            csv_lines.append(
+                f"{trial},{d_w},{res.status.value},{'true' if correct else 'false'},{micros}"
+            )
+        out.write("\n".join(csv_lines) + "\n")
     return 0
 
 

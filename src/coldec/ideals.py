@@ -145,8 +145,9 @@ class IdealPiece:
     """An ideal generated in one degree, as a generator coefficient matrix.
 
     `gens` is a read-only int64 array of canonical residues with one row
-    per generator in the degree-`gen_degree` monomial basis. Echelon bases
-    of higher graded pieces are cached as they are computed.
+    per generator in the degree-`gen_degree` monomial basis. A graded piece
+    is its echelon rows, and its rank is their count; the pieces are
+    cached as they are computed.
     """
 
     __slots__ = ("field", "nvars", "gen_degree", "gens", "_pieces")
@@ -178,10 +179,10 @@ class IdealPiece:
         self.nvars = nvars
         self.gen_degree = gen_degree
         self.gens = gens
-        self._pieces: dict[int, tuple[np.ndarray, int]] = {}
+        self._pieces: dict[int, np.ndarray] = {}
 
-    def piece(self, m: int):
-        """Echelon basis rows and rank of the degree-m graded piece."""
+    def piece(self, m: int) -> np.ndarray:
+        """Echelon basis rows of the degree-m graded piece; the rank is their count."""
         m = operator.index(m)
         if m < self.gen_degree:
             raise ValueError(
@@ -196,18 +197,15 @@ class IdealPiece:
         if m == self.gen_degree:
             acc.insert(self.gens, consume=True)  # canonical, and only read
         else:
-            prev_rows, _ = self.piece(m - 1)
+            prev_rows = self.piece(m - 1)
             maps = monomial_basis(self.nvars, m - 1).power_maps(1)
             for v in range(self.nvars):
-                if prev_rows.shape[0] == 0:
-                    break
                 block = np.zeros((prev_rows.shape[0], size), np.int64)
                 block[:, maps[v]] = prev_rows
                 acc.insert(block, consume=True)
         rows, _ = acc.basis_rows()
-        result = (rows, int(acc.rank))
-        self._pieces[m] = result
-        return result
+        self._pieces[m] = rows
+        return rows
 
     def __repr__(self) -> str:
         return (
@@ -321,8 +319,7 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         return C._dmin if cap is None else min(C._dmin, cap)
     p = C.field.p
     forms = C.G.a[:, C.G.a.any(axis=0)].T
-    s = 1
-    while True:
+    for s in range(1, C.n + 2):  # products of more than n factors cannot span
         level = _short_level(forms, s, p)
         if level is not None:
             C._min_level = level
@@ -330,9 +327,7 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
             return C._dmin
         if s == cap:  # d >= cap; the exact value is not known, so not cached
             return s
-        s += 1
-        if s > C.n + 1:  # unreachable: products of more than n factors cannot span
-            raise RuntimeError("minimum-distance scan failed to terminate")
+    raise RuntimeError("minimum-distance scan failed to terminate")
 
 
 def _short_level(forms: np.ndarray, s: int, p: int):
@@ -406,19 +401,7 @@ def hilbert_function(ideal: IdealPiece, m: int) -> int:
     size = monomial_basis(ideal.nvars, m).size
     if m < ideal.gen_degree:
         return size
-    return size - ideal.piece(m)[1]
-
-
-def _stabilized_value(values, cap_label: str):
-    prev = next(values)
-    for cur in values:
-        if cur == prev:
-            return cur
-        prev = cur
-    raise StabilizationError(
-        f"Hilbert function failed to stabilize by degree {cap_label}; the zero "
-        "set looks positive-dimensional or a graded piece is wrong"
-    )
+    return size - len(ideal.piece(m))
 
 
 def ideal_degree(ideal: IdealPiece) -> int:
@@ -452,18 +435,21 @@ def colon_degree(ideal: IdealPiece, var: int) -> int:
     var = operator.index(var)
     if not 0 <= var < ideal.nvars:
         raise ValueError(f"variable index {var} out of range")
-    start = max(ideal.gen_degree - 1, 0)
     cap = ideal.gen_degree + ideal.nvars + 4
-
-    def value(m: int) -> int:
-        rows, rank = ideal.piece(m + 1)
+    prev = None
+    for m in range(max(ideal.gen_degree - 1, 0), cap + 1):
+        rows = ideal.piece(m + 1)
         exps = monomial_basis(ideal.nvars, m + 1).exponents()
         nondiv = np.nonzero(exps[:, var] == 0)[0]
-        sub_rank = kernels.rank_of_rows(rows[:, nondiv], ideal.field.p) if rank else 0
-        colon_dim = rank - sub_rank
-        return monomial_basis(ideal.nvars, m).size - colon_dim
-
-    return _stabilized_value((value(m) for m in range(start, cap + 1)), str(cap))
+        colon_dim = len(rows) - kernels.rank_of_rows(rows[:, nondiv], ideal.field.p)
+        value = monomial_basis(ideal.nvars, m).size - colon_dim
+        if value == prev:
+            return value
+        prev = value
+    raise StabilizationError(
+        f"Hilbert function failed to stabilize by degree {cap}; the zero "
+        "set looks positive-dimensional or a graded piece is wrong"
+    )
 
 
 def _degree_mismatch(var: int, u: int, gen_degree: int) -> ValueError:
@@ -490,7 +476,7 @@ def colon_linear_piece(ideal: IdealPiece, var: int, u: int) -> LinearFormSpace:
         raise ValueError(f"variable index {var} out of range")
     if u < ideal.gen_degree - 1:
         raise _degree_mismatch(var, u, ideal.gen_degree)
-    rows, _ = ideal.piece(u + 1)
+    rows = ideal.piece(u + 1)
     targets = monomial_basis(ideal.nvars, 1).power_maps(u)[var]
     b = np.zeros((rows.shape[1], ideal.nvars), np.int64)
     b[targets, np.arange(ideal.nvars)] = 1
@@ -506,8 +492,6 @@ def point_from_forms(space: LinearFormSpace) -> ProjectivePoint:
             "does not cut out a single point"
         )
     ns = MatrixGF(space.field, space.basis).nullspace()
-    if ns.shape[0] != 1:  # defensive; dim nvars-1 forces a line
-        raise NotSinglePointError("the form space does not cut out a single point")
     return ProjectivePoint(space.field, ns[0])
 
 
@@ -533,10 +517,10 @@ def verify_saturation_identity(ideal: IdealPiece, space: LinearFormSpace) -> boo
     if space.dim != ideal.nvars - 1:
         raise ValueError("the form space must cut out a single projective point")
     g = ideal.gen_degree
-    rows, rank = ideal.piece(g)
-    if rank != monomial_basis(ideal.nvars, g).size - 1:
+    rows = ideal.piece(g)
+    if len(rows) != monomial_basis(ideal.nvars, g).size - 1:
         return False
-    point_piece, _ = IdealPiece(space.field, space.nvars, 1, space.basis).piece(g)
+    point_piece = IdealPiece(space.field, space.nvars, 1, space.basis).piece(g)
     return _inside(point_piece, rows, ideal.field.p)
 
 
@@ -552,7 +536,7 @@ def verify_power_containment(ideal: IdealPiece, space: LinearFormSpace) -> bool:
     if space.field != ideal.field or space.nvars != ideal.nvars:
         raise ValueError("form space and ideal live in different rings")
     g = ideal.gen_degree
-    rows, _ = ideal.piece(g)
+    rows = ideal.piece(g)
     products = [
         product_of_linear_forms(combo, ideal.field.p)
         for combo in itertools.combinations_with_replacement(space.basis, g)

@@ -429,6 +429,21 @@ def test_simulate_csv_file(capsys, tmp_path):
     assert len(lines) == 11
 
 
+def test_simulate_refuses_an_unwritable_csv_before_any_trial(tmp_path, capsys, monkeypatch):
+    # a directory cannot be opened for writing; no trial may run first
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the CSV path was checked")
+
+    monkeypatch.setattr(cli, "decode", no_trial)
+    code = tmp_path / "demo.code"
+    code.write_text(DEMO_CODE_TEXT)
+    argv = ["simulate", "--trials", "3", "--errors", "1", "--seed", "1", "--csv", str(tmp_path)]
+    rc, out, err = run(capsys, *argv, str(code))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 # The decode JSON and the simulate output are byte-stable: for the worked
 # example and a fixed [7,3,3] GF(3) code they must equal these texts once
 # the timing fields (elapsed_ms, mean_decode_us, micros) are blanked.
