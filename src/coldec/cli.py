@@ -172,14 +172,15 @@ def _cmd_count_diff(args) -> int:
         raise _CliError(f"--row must be between 1 and {C.k}")
     j = args.row - 1
     d = min_distance(C)
+    Cj = C.remove_row(j)
+    # Neighbors of the removed row at distance exactly d: its nearest
+    # neighbors whenever any minimum-weight codeword uses that row. Asked
+    # first, so a code over the oracle threshold builds no ideal.
+    nn = oracle.count_at_distance(Cj, C.G.a[j], d, args.oracle_threshold)
     I = build_ideal(C, d + 1)
     alpha = ideal_degree(I)
-    Cj = C.remove_row(j)
     alpha_removed = ideal_degree(build_ideal(Cj, d + 1))
     colon = colon_degree(I, j)
-    # Neighbors of the removed row at distance exactly d: its nearest
-    # neighbors whenever any minimum-weight codeword uses that row.
-    nn = oracle.count_at_distance(Cj, C.G.a[j], d, args.oracle_threshold)
     ok = alpha - alpha_removed == nn == colon
     print(
         f"alpha_d={alpha} alpha_d_removed={alpha_removed} colon_degree={colon} "

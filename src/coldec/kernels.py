@@ -19,15 +19,14 @@ x in one pass by XORing in the stored row of each bit of x & mask; one
 pass is exact as each stored row is zero at the other pivots. A nonzero
 remainder becomes a new pivot row at its lowest set bit and is XORed out
 of the stored rows that have that bit. Rows are unpacked only when an
-array is asked for.
+array is asked for, and elimination over GF(2) runs no float arithmetic.
 
 For odd p the basis holds floats, and rows are absorbed in panels of
 `_PANEL` after the FFLAS-FFPACK scheme (Dumas, Giorgi, Pernet, "Dense
 linear algebra over word-size prime fields", ACM TOMS 2008). A panel is
 reduced against the basis by one matrix product, its residue is brought
 to reduced row echelon form one pivot column at a time, and its new pivot
-rows are back-substituted into the basis by a second product. `reduce` is
-a single product.
+rows are back-substituted into the basis by a second product.
 
 Any nonzero entry of a pivot column may serve as the pivot, as the
 reduced form is unique, so the pivot loop takes the one that costs least:
@@ -42,8 +41,12 @@ just the rows that are nonzero in the pivot column. Each step is reduced
 mod p at once, by `_mod`'s floor quotient: delaying that reduction inside
 the loop measured slower.
 
-The odd-p products run through BLAS with delayed modular reduction:
-entries are canonical residues in [0, p), below 2**b with
+`reduce` takes one path for every p, GF(2) included: it unpacks the
+basis and gives rows - rows[:, pivots] @ basis, one float product in the
+type that the rule below picks for (cols, p), reduced by `_mod`.
+
+The odd-p products and `reduce` run through BLAS with delayed modular
+reduction: entries are canonical residues in [0, p), below 2**b with
 b = (p - 1).bit_length(), so a product with inner dimension at most
 `cols` sums at most cols*(p-1)**2, and that plus the margin of p that
 `_mod` needs stays below cols * 4**b. Every sum of such nonnegative
@@ -55,7 +58,7 @@ p = 251 below 256), float64 while it stays below 2**53, and above that a
 ValueError before any buffer is allocated; since p < 2**16, fewer than
 2**21 columns always pass. Panels, both products, the pivot loop and the
 reductions all run in the basis's type, with no operand of another float
-type to widen them. GF(2) has no such limit.
+type to widen them. GF(2) elimination has no such limit.
 
 Reduced row echelon form, rank, pivot columns and the residue of a row
 (the unique vector of row + span that is zero in every pivot column) are
@@ -212,13 +215,6 @@ class _FloatRows:
             rank += k
         return rank
 
-    def reduce(self, rows):
-        # Residues of canonical residue rows, at rank 1 or more.
-        basis = self.basis[: len(self.piv)]
-        red = rows.astype(basis.dtype)
-        red -= red[:, self.piv] @ basis
-        return _mod(red, self.p).astype(np.int64)
-
     def columns(self, idx):
         # The rows' entries in columns idx as int64, rows in the order of
         # pivots(); the rest of the basis is not copied.
@@ -228,11 +224,8 @@ class _FloatRows:
         return self.piv
 
     def unpack(self):
-        # The rows ordered by pivot column, and those columns; rows that
-        # came from a single panel already are.
+        # The rows ordered by pivot column, and those columns.
         piv = self.piv
-        if piv == sorted(piv):
-            return self.basis[: len(piv)], tuple(piv)
         return self.basis[np.argsort(piv)], tuple(sorted(piv))
 
 
@@ -297,9 +290,6 @@ class _PackedRows:
                 basis[low.bit_length() - 1] = x
                 self.mask |= low
         return len(basis)
-
-    def reduce(self, rows):
-        return _unpacked([self._residue(x) for x in _packed(rows)], self.cols).astype(np.int64)
 
     def columns(self, idx):
         # Bit by bit, so no row is unpacked.
@@ -403,9 +393,10 @@ class Echelon:
         """Residues of rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
         self._check_width(rows)
-        if rows.shape[0] and self.rank:
-            rows = self._basis.reduce(rows)
-        return rows
+        basis, pivots = self._basis.unpack()
+        red = rows.astype(_float_type(self.cols, self.p))
+        red -= red[:, list(pivots)] @ basis.astype(red.dtype, copy=False)
+        return _mod(red, self.p).astype(np.int64)
 
     def basis_rows(self):
         """Accumulated basis as (rows, pivots), ordered by pivot column."""

@@ -203,9 +203,13 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
     rows in one matrix-vector product. With canonical residues in f and
     the form, each entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32
     for p < 2**16, so it stays far inside int64 and is reduced once.
-    Arrays of another dtype than int64 must pass `int64_entries` and are
-    reduced mod p first; anything else raises ValueError. The modulus
-    must be an int of at least 2 (see `field.modulus`).
+    That makes canonical residues a precondition for int64 operands: they
+    are used as they are, not reduced, and an entry outside [0, p) can
+    give a wrong product (f = [2**40] times [2**40, 1] over GF(3) gives
+    [0, 1], not [1, 1]). Arrays of another dtype than int64 must pass
+    `int64_entries` and are reduced mod p first; anything else raises
+    ValueError. The modulus must be an int of at least 2 (see
+    `field.modulus`).
     """
     p = modulus(p)
     if f.dtype != np.int64:

@@ -248,6 +248,29 @@ def test_count_diff_rejects_bad_row(demo_files, capsys):
     assert rc == 4 and err
 
 
+def test_count_diff_refuses_an_over_threshold_code_before_any_ideal(
+    demo_files, capsys, monkeypatch
+):
+    # 2**2 codewords of the row-removed code exceed a threshold of 3
+    calls = []
+
+    def record(name):
+        def stub(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the oracle refused")
+
+        return stub
+
+    monkeypatch.setattr(cli, "build_ideal", record("build_ideal"))
+    monkeypatch.setattr(cli, "colon_degree", record("colon_degree"))
+    code, _ = demo_files
+    rc, out, err = run(capsys, "--oracle-threshold", "3", "count-diff", "--row", "1", code)
+    assert rc == 4
+    assert out == ""
+    assert err == "error: enumerating 4 codewords exceeds the oracle threshold 3\n"
+    assert calls == []
+
+
 def test_check_reg(demo_files, capsys):
     code, word = demo_files
     rc, out, _ = run(capsys, "check-reg", code, word)
