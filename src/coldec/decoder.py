@@ -97,7 +97,9 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     error vector. Degree > 1 is ambiguous (count reported, no extraction);
     coset weight d or larger is uncorrectable. The degree is the count of
     projective minimum-weight codewords of C^w, which the distance scan of
-    classification recorded, so an ambiguous word builds no ideal.
+    classification recorded, so an ambiguous word builds no ideal. The
+    scan may have counted short points in a kernel of at most 64
+    projective elements, before the level was whole (see `min_distance`).
 
     Extraction reads the point off the colon of the product ideal by
     T^u. The colon has saturated from u = d_w on, so every u >= d_w cuts
@@ -105,10 +107,11 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     default). A negative u raises ValueError for every word, before
     classification; a u from 0 to d_w - 1 raises it only where a point is
     extracted. Within the radius the colon is taken at d_w, and its linear
-    piece must have dimension k, the point ideal's. Beyond it the scan's
-    last level, which gave the count 1, is that colon's dual: the point is
-    read off its kernel vector (`min_weight_point`) and no ideal is built
-    either.
+    piece must have dimension k, the point ideal's. Beyond it the point is
+    read off the kernel of the scan's last level, which gave the count 1
+    (`min_weight_point`): of that kernel's at most 64 projective elements,
+    the one that reads as the point of a weight-d_w codeword of C^w. No
+    ideal is built there either.
     """
     w = C._vector(w, C.n, "received word")
     if colon_power is not None:

@@ -288,22 +288,26 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     Each level's product rows are eliminated in blocks of 64, in the
     subset order of `_product_blocks`, and no block is generated after the
     level is decided. It is decided when it fills up, when its rows run
-    out, or after a block that leaves the rank one short of full with rows
-    still to come. There the one kernel vector v is read as a point P the
-    way `min_weight_point` reads it (see `_kernel_point`). The levels
-    below are full, so d >= s - 1. If the codeword P G has weight at most
-    s - 1, every product of s distinct forms has a factor vanishing at P,
-    so the level lies in the hyperplane of forms vanishing at P, which the
-    rows so far already span: the level is not full, and its echelon is
-    final. Otherwise the level is full: were it not, d would be s - 1, the
-    rows so far would span the whole level, and v would be the evaluation
-    vector of a codeword of weight s - 1, which the reading recovers.
+    out, or after a block that leaves, with rows still to come, a kernel
+    of dimension c with at most 64 projective elements, (p^c - 1)/(p - 1)
+    <= 64 (so only c = 1 at p >= 64). Call a point P short when its
+    codeword P G has weight at most s - 1. Every product of s distinct
+    forms has a factor vanishing at a short P, so P's evaluation vector
+    lies in the kernel, whatever rows are still to come. Each kernel
+    element, a combination of the kernel basis with last nonzero
+    coefficient 1, is read as a point the way `min_weight_point` reads
+    one (see `_short_points`). The levels below are full, so d >= s - 1,
+    and a level that is not full has d = s - 1 and exactly HF(s) short
+    points, the projective minimum-weight codewords. So if no element
+    reads as a short point the level is full, and if m of them do it is
+    the last level, with count m.
 
     The scan stops at level d+1, the first level that is not full, and
-    caches its echelon on the code next to d: its codimension HF(d+1) is
-    the number of projective minimum-weight codewords (see
-    `ideal_degree`), and its kernel carries the point of
-    `min_weight_point` when that number is 1.
+    caches its count HF(d+1) on the code next to d, with the level's
+    echelon: the count is the number of projective minimum-weight
+    codewords (see `ideal_degree`), and the echelon's kernel holds the
+    point of `min_weight_point` when that number is 1. Where the rows ran
+    out, the count is the echelon's codimension.
 
     With an integer `cap` (at least 1) the scan also returns once level
     `cap` is full, so the result is min(d, cap) and no level above `cap` is
@@ -331,10 +335,10 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
 
 
 def _short_level(forms: np.ndarray, s: int, p: int):
-    # The echelon of level s of the distance scan when that level is not
-    # full, else None; the levels below it must be full (see min_distance).
-    nvars = forms.shape[1]
-    target = monomial_basis(nvars, s).size
+    # (count, echelon) of level s of the distance scan when that level is
+    # not full, else None; the levels below it must be full (see
+    # min_distance).
+    target = monomial_basis(forms.shape[1], s).size
     acc = kernels.Echelon(target, p)
     left = math.comb(forms.shape[0], s)
     for block in _product_blocks(forms, s, p, 64):
@@ -342,37 +346,53 @@ def _short_level(forms: np.ndarray, s: int, p: int):
         rank = acc.insert(block, consume=True)
         if rank == target:
             return None
-        if rank == target - 1 and left:
-            P = _kernel_point(acc.kernel()[0], nvars, s)
-            short = P is not None and np.count_nonzero(forms @ P % p) < s
-            return acc if short else None
-    return acc
+        c = target - rank  # c > 6 never qualifies (2^7 - 1 > 64): skip a large p^c
+        if left and c <= 6 and (p**c - 1) // (p - 1) <= 64:
+            count = len(_short_points(acc, forms, s))
+            return (count, acc) if count else None
+    return target - acc.rank, acc
 
 
-def _kernel_point(v: np.ndarray, nvars: int, s: int):
-    # The point P of a degree-s evaluation vector v = c P^a: j is the last
-    # index with v[x_j^s] != 0, so P_j != 0, and P_i = v[x_i x_j^(s-1)] =
-    # c P_j^(s-1) P_i. None when v is zero at every x_j^s, as no nonzero
-    # evaluation vector is.
-    maps = monomial_basis(nvars, 1).power_maps(s - 1)
-    j = np.flatnonzero(v[maps.diagonal()])
-    return v[maps[j[-1]]] if j.size else None
+def _short_points(acc: kernels.Echelon, forms: np.ndarray, s: int) -> set:
+    # The distinct points P, as tuples with last nonzero coordinate 1, whose
+    # codeword forms @ P has weight at most s - 1, read off the projective
+    # elements of the kernel of acc, a degree-s echelon. An evaluation
+    # vector v = c P^a is read by j, the last index with v[x_j^s] != 0, so
+    # P_j != 0, and P_i = v[x_i x_j^(s-1)] = c P_j^(s-1) P_i; only those
+    # entries of each element are computed. Elements zero at every x_j^s,
+    # as no evaluation vector is, are skipped.
+    p, nvars = acc.p, forms.shape[1]
+    ker = acc.kernel()
+    c = ker.shape[0]
+    combos = [  # last nonzero coefficient 1: one per projective element
+        head + (1,) + (0,) * (c - 1 - i)
+        for i in range(c)
+        for head in itertools.product(range(p), repeat=i)
+    ]
+    maps = monomial_basis(nvars, 1).power_maps(s - 1)  # maps[j, i]: x_i x_j^(s-1)
+    vs = np.array(combos, np.int64) @ ker[:, maps.ravel()] % p
+    vs = vs.reshape(-1, nvars, nvars)
+    at = vs[:, np.arange(nvars), np.arange(nvars)] != 0
+    P = vs[np.arange(vs.shape[0]), nvars - 1 - np.argmax(at[:, ::-1], axis=1)]
+    P = P[at.any(axis=1) & (np.count_nonzero(P @ forms.T % p, axis=1) < s)]
+    return {tuple(row * pow(int(row[np.flatnonzero(row)[-1]]), -1, p) % p) for row in P}
 
 
 def min_weight_count(C: "LinearCode") -> int:
     """Number of projective minimum-weight codewords of C.
 
     This is the degree of the ideal of (d+1)-fold column-form products,
-    HF(d+1): the codimension of the level d+1 echelon that the distance
-    scan of `min_distance` keeps when it finds d. A distance supplied
-    without a scan leaves no level and raises ValueError: the codes that
+    HF(d+1), which the distance scan of `min_distance` records when it
+    finds d: the number of short points of level d+1's kernel, or that
+    level's codimension where its rows ran out. A distance supplied
+    without a scan leaves no count and raises ValueError: the codes that
     need one are too large to build level d+1 for.
     """
     min_distance(C)
     level = C._min_level
     if level is None:
         raise ValueError("no count was recorded: the distance was supplied")
-    return level.cols - level.rank
+    return level[0]
 
 
 def min_weight_point(C: "LinearCode") -> ProjectivePoint:
@@ -380,17 +400,19 @@ def min_weight_point(C: "LinearCode") -> ProjectivePoint:
 
     Requires a count of 1 (see `min_weight_count`); raises ValueError
     otherwise. The ideal of (d+1)-fold column-form products then has one
-    projective zero P, the point whose codeword P G has weight d, and its
-    degree-(d+1) piece is the codimension-1 space of forms vanishing at P.
-    So the kernel vector v of the level the distance scan stopped at is
-    P's evaluation vector, v[x^a] = c P^a, and P_i = v[x_i x_j^d] for any
-    j with v[x_j^(d+1)] != 0. This is the colon of the piece by x_j^d,
-    read off by duality.
+    projective zero P, the point whose codeword P G has weight d. Its
+    evaluation vector v[x^a] = c P^a lies in the kernel of the echelon the
+    distance scan kept, and P_i = v[x_i x_j^d] for any j with
+    v[x_j^(d+1)] != 0: the colon of the level by x_j^d, read off by
+    duality. That kernel's at most 64 projective elements (see
+    `min_distance`) are read only here, when the point is asked for, and
+    P is the one that reads as a short point.
     """
     count = min_weight_count(C)
     if count != 1:
         raise ValueError(f"{count} projective minimum-weight codewords, not one")
-    return ProjectivePoint(C.field, _kernel_point(C._min_level.kernel()[0], C.k, C._dmin + 1))
+    (P,) = _short_points(C._min_level[1], C.G.a.T, C._dmin + 1)  # a zero column adds no weight
+    return ProjectivePoint(C.field, P)
 
 
 def hilbert_function(ideal: IdealPiece, m: int) -> int:

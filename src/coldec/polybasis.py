@@ -203,18 +203,18 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
     rows in one matrix-vector product. With canonical residues in f and
     the form, each entry is at most nvars * (p-1)**2, with (p-1)**2 < 2**32
     for p < 2**16, so it stays far inside int64 and is reduced once.
-    That makes canonical residues a precondition for int64 operands: they
+    That makes canonical residues a precondition for int64 arrays: they
     are used as they are, not reduced, and an entry outside [0, p) can
     give a wrong product (f = [2**40] times [2**40, 1] over GF(3) gives
-    [0, 1], not [1, 1]). Arrays of another dtype than int64 must pass
-    `int64_entries` and are reduced mod p first; anything else raises
-    ValueError. The modulus must be an int of at least 2 (see
-    `field.modulus`).
+    [0, 1], not [1, 1]). Any other operand, a list or an array of
+    another dtype, must pass `int64_entries` and is reduced mod p first;
+    anything else raises ValueError. The modulus must be an int of at
+    least 2 (see `field.modulus`).
     """
     p = modulus(p)
-    if f.dtype != np.int64:
+    if not isinstance(f, np.ndarray) or f.dtype != np.int64:
         f = int64_entries(f) % p
-    if form.dtype != np.int64:
+    if not isinstance(form, np.ndarray) or form.dtype != np.int64:
         form = int64_entries(form) % p
     size, inv = _product_table(form.shape[0], degree)
     if f.shape != (size,):

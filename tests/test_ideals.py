@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coldec import LinearCode, PrimeField, decode, min_distance
-from coldec.decoder import classify
+from coldec.decoder import DecodeStatus, classify
 from coldec import ideals, kernels
 from coldec.ideals import (
     IdealPiece,
@@ -27,7 +27,11 @@ from coldec.ideals import (
     verify_saturation_identity,
 )
 from coldec.linalg import MatrixGF
-from coldec.oracle import enumerate_min_distance, projective_min_weight_count
+from coldec.oracle import (
+    enumerate_min_distance,
+    nearest_neighbors,
+    projective_min_weight_count,
+)
 from coldec.polybasis import checked_binomial, monomial_basis, product_of_linear_forms
 from conftest import random_code
 
@@ -570,24 +574,43 @@ GF3_14_6 = [
 ]
 
 
+# A [12,4,5] GF(3) code with three projective minimum-weight codewords.
+GF3_12_4 = [
+    [0, 0, 2, 2, 2, 0, 1, 2, 2, 1, 1, 1],
+    [0, 2, 1, 1, 2, 2, 2, 0, 2, 1, 1, 1],
+    [0, 2, 1, 0, 2, 1, 0, 1, 0, 1, 2, 0],
+    [2, 1, 0, 0, 0, 0, 0, 2, 1, 0, 2, 1],
+]
+
+
 def _prefix_tree(n, s):
     # Products that level s of n columns costs when every subset is made.
     return sum(checked_binomial(n - s + d, d) for d in range(1, s + 1))
 
 
+def _spy_short_points(monkeypatch):
+    # Record (kernel dimension, short points found) at each reading of a
+    # scan level's kernel.
+    seen = []
+    real = ideals._short_points
+
+    def spying(acc, forms, s):
+        points = real(acc, forms, s)
+        seen.append((acc.cols - acc.rank, len(points)))
+        return points
+
+    monkeypatch.setattr(ideals, "_short_points", spying)
+    return seen
+
+
 def test_distance_scan_agrees_with_the_oracle_on_multi_block_levels(monkeypatch):
     # Levels of 10 to 14 columns run over several 64-row blocks, and the
-    # scan settles many of them from the kernel vector once their rank is
-    # one short of full, full ones and the last one alike. The distance,
-    # the count and the cached level must still be those of whole levels.
-    decided = []
-    real = ideals._kernel_point
-
-    def spying(v, nvars, s):
-        decided.append(s)
-        return real(v, nvars, s)
-
-    monkeypatch.setattr(ideals, "_kernel_point", spying)
+    # scan settles many of them by reading their kernel once it has at
+    # most 64 projective elements, full ones and the last one alike. Such
+    # a last level's echelon need not be the whole level, but the
+    # distance, the count and, for a count of 1, the point must be those
+    # of whole levels.
+    decided = _spy_short_points(monkeypatch)
     rng = np.random.default_rng(2025)
     full = short = 0
     for p, ks in ((2, (4, 5, 6)), (3, (3, 4, 5)), (5, (3, 4)), (7, (3,))):
@@ -596,20 +619,22 @@ def test_distance_scan_agrees_with_the_oracle_on_multi_block_levels(monkeypatch)
             decided.clear()
             d = min_distance(C)
             assert d == enumerate_min_distance(C), C.G.a.tolist()
-            assert min_weight_count(C) == projective_min_weight_count(C), C.G.a.tolist()
-            rows, _ = C._min_level.basis_rows()
-            assert rows.tolist() == build_ideal(C, d + 1).piece(d + 1).tolist()
-            full += sum(s <= d for s in decided)
-            short += decided.count(d + 1)
+            count = min_weight_count(C)
+            assert count == projective_min_weight_count(C), C.G.a.tolist()
+            full += sum(found == 0 for _, found in decided)
+            short += sum(found > 0 for _, found in decided)
+            if count == 1:
+                _check_min_weight_point(C)
     assert full >= 10 and short >= 5
 
 
 def test_scan_stops_a_level_its_kernel_vector_decides(monkeypatch):
     # On the seeded [14,6,4] GF(3) code level 4 (1,001 products, 126
     # columns) is full and level 5 (2,002 products, 252 columns) has count
-    # 1. Each reaches rank cols - 1 with products to come and is decided
-    # there: it stays one rank short, and fewer products are made than
-    # the level's prefix tree holds.
+    # 1. Each is decided at the first block that leaves at most 4 kernel
+    # dimensions, (3^4 - 1)/2 = 40 projective elements: level 4 jumps from
+    # 5 to 1 there, and level 5 stops at 4, where a whole level would be 1
+    # short. Fewer products are made than the level's prefix tree holds.
     C = LinearCode(PrimeField(3), GF3_14_6)
     made, calls = [], []
 
@@ -626,12 +651,46 @@ def test_scan_stops_a_level_its_kernel_vector_decides(monkeypatch):
 
     monkeypatch.setattr(kernels, "Echelon", Recording)
     monkeypatch.setattr(ideals, "multiply_by_form", counting)
-    for s, full in ((4, True), (5, False)):
+    for s, full, codim in ((4, True, 1), (5, False, 4)):
         made.clear()
         calls.clear()
         level = ideals._short_level(C.G.a.T, s, 3)
         assert (level is None) == full
-        assert [acc.cols - acc.rank for acc in made] == [1]
+        assert [acc.cols - acc.rank for acc in made] == [codim]
         assert 0 < len(calls) < _prefix_tree(14, s)
-    assert level is made[0]
+    assert level == (1, made[0])
     assert min_distance(C) == 4 and min_weight_count(C) == 1
+    _check_min_weight_point(C)
+
+
+def test_levels_decided_from_a_kernel_of_dimension_two_or_more(monkeypatch):
+    # A kernel of c >= 2 dimensions decides its level too: as full when no
+    # element reads as a short point, as the last level with count m when
+    # m of them do. Cold scans of codes with 10 to 13 columns, and the
+    # scans of C^w capped at d that classify words, meet both, with counts
+    # of 2 or more; every count, and every ambiguous word's neighbor count,
+    # is the oracle's.
+    decided = _spy_short_points(monkeypatch)
+    rng = np.random.default_rng(11)
+    cold, capped = set(), set()
+    for p, k, n in ((2, 5, 12), (3, 4, 11), (5, 3, 10), (2, 4, 13)):
+        for _ in range(3):
+            C = random_code(rng, p, k, n)
+            decided.clear()
+            assert min_weight_count(C) == projective_min_weight_count(C), C.G.a.tolist()
+            cold.update(min(found, 2) for c, found in decided if c >= 2)
+            for _ in range(8):
+                w = rng.integers(0, p, n)
+                decided.clear()
+                res = decode(C, w)
+                if res.status is DecodeStatus.AMBIGUOUS:
+                    d_w, vectors = nearest_neighbors(C, w)
+                    assert (res.d_w, res.neighbor_count) == (d_w, vectors.shape[0])
+                    capped.update(min(found, 2) for c, found in decided if c >= 2)
+    assert {0, 2} <= cold and capped == {0, 2}
+    # The [12,4,5] GF(3) code: its level 6 (924 products, 84 columns) is
+    # decided from a 4-dimensional kernel holding its 3 short points.
+    C = LinearCode(PrimeField(3), GF3_12_4)
+    decided.clear()
+    assert (min_distance(C), min_weight_count(C)) == (5, 3) == (5, projective_min_weight_count(C))
+    assert decided[-1] == (4, 3)

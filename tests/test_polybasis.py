@@ -260,6 +260,20 @@ def test_multiply_by_form_refuses_fractions():
         assert got.tolist() == want.tolist() == [1, 2, 1]
 
 
+def test_multiply_by_form_converts_list_operands():
+    # Lists follow the input rule too: converted and reduced, or refused.
+    want = multiply_by_form(np.array([1, 2]), 1, np.array([1, 1]), 3)
+    for f, form in (([1, 2], [1, 1]), ([1, 2], np.array([1, 1])), (np.array([1, 2]), [4, -2])):
+        got = multiply_by_form(f, 1, form, 3)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want.tolist() == [1, 0, 2]
+    assert multiply_by_form([2**40], 0, [2**40, 1], 3).tolist() == [1, 1]
+    with pytest.raises(ValueError):
+        multiply_by_form([1.5], 0, [1, 1], 3)
+    with pytest.raises(ValueError):
+        multiply_by_form([1], 0, [1.5, 1], 3)
+
+
 def test_divisor_maps_invert_the_variable_maps():
     for nvars in range(1, 6):
         for degree in range(1, 6):
