@@ -99,7 +99,9 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     projective minimum-weight codewords of C^w, which the distance scan of
     classification recorded, so an ambiguous word builds no ideal. The
     scan may have counted short points in a kernel of at most 64
-    projective elements, before the level was whole (see `min_distance`).
+    projective elements, before the level was whole, or finished the
+    level in the quotient by a kernel of at most 64 dimensions, pairing
+    each remaining product with it (see `min_distance`).
 
     Extraction reads the point off the colon of the product ideal by
     T^u. The colon has saturated from u = d_w on, so every u >= d_w cuts
@@ -110,8 +112,8 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     piece must have dimension k, the point ideal's. Beyond it the point is
     read off the kernel of the scan's last level, which gave the count 1
     (`min_weight_point`): of that kernel's at most 64 projective elements,
-    the one that reads as the point of a weight-d_w codeword of C^w. No
-    ideal is built there either.
+    the one that reads as the point of a weight-d_w codeword of C^w. That
+    kernel is computed only then, and no ideal is built there either.
     """
     w = C._vector(w, C.n, "received word")
     if colon_power is not None:

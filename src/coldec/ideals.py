@@ -214,51 +214,82 @@ class IdealPiece:
         )
 
 
-def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
-    """Coefficient rows of all products of s distinct rows of `forms`, in blocks.
+def _stems(forms: list, s: int, p: int):
+    """The column subsets of s of `forms` (a list of rows), walked as stems.
 
-    Subsets come by their largest row m, smallest m first, and with the
-    same m in lexicographic order of the other s - 1 rows. Each block is a
-    fresh C-contiguous int64 array of `size` rows (the last one may be
-    shorter), yielded as soon as its last row is written, so no product is
-    computed ahead of the block being filled.
-
-    A product is taken with m as its first factor, so the products of one
-    m share it. A stack keeps the products of each subset's prefixes; only
-    those from the first position that changed are recomputed, so each
-    prefix costs one linear-form multiplication, as many as in
-    lexicographic order. The loops run over stems, a subset's factors but
-    its last, and then over that last factor: m, an (s-2)-subset `inner`
-    of the rows below m - 1, and a last row between inner's and m. For
-    s = 1 one pseudo-group with the empty stem runs over every row.
+    A stem is a subset's first s - 1 factors; each is yielded as (g, lo,
+    hi), g the stem's product and forms[lo:hi] the last factors that
+    complete it, so the subsets of (g, lo, hi) are the hi - lo products g
+    L_j. Subsets come by their largest row m, smallest m first, and with
+    the same m in lexicographic order of the other s - 1 rows. m is a
+    stem's first factor, so the stems of one m share it: the loops run
+    over m, an (s-2)-subset `inner` of the rows below m - 1, and then over
+    a last row between inner's and m. A stack keeps the products of each
+    stem's prefixes; only those from the first position that changed are
+    recomputed, so each prefix costs one linear-form multiplication, as
+    many as in lexicographic order. For s = 1 one pseudo-stem with the
+    empty product runs over every row.
     """
-    n, nvars = forms.shape
-    left = math.comb(n, s)
-    cols = monomial_basis(nvars, s).size
-    forms = list(forms)  # a list index is cheaper than a fresh view per product
     prefix = [np.ones(1, np.int64)] + [None] * (s - 1)  # product of a stem's first d factors
-    r = 0
-    for m in range(s - 1, n) if s > 1 else (n,):
-        if s > 1:
-            prefix[1] = multiply_by_form(prefix[0], 0, forms[m], p)
+    if s == 1:
+        yield prefix[0], 0, len(forms)
+        return
+    for m in range(s - 1, len(forms)):
+        prefix[1] = multiply_by_form(prefix[0], 0, forms[m], p)
         prev = None
-        for inner in itertools.combinations(range(m - 1), max(s - 2, 0)):
+        for inner in itertools.combinations(range(m - 1), s - 2):
             i = 0
             if prev is not None:
                 while inner[i] == prev[i]:
                     i += 1
             for d in range(i, s - 2):
                 prefix[d + 2] = multiply_by_form(prefix[d + 1], d + 1, forms[inner[d]], p)
-            for j in range(inner[-1] + 1 if inner else 0, m):
-                if r == 0:
-                    block = np.empty((min(size, left), cols), np.int64)
-                block[r] = multiply_by_form(prefix[s - 1], s - 1, forms[j], p)
-                r += 1
-                if r == block.shape[0]:
-                    left -= r
-                    r = 0
-                    yield block
+            yield prefix[s - 1], (inner[-1] + 1 if inner else 0), m
             prev = inner
+
+
+def _runs(stems, size: int):
+    # The stems' products in runs of `size` (the last one may be shorter):
+    # lists of (g, lo, hi), a stem split where a run ends. A run is yielded
+    # before the next stem is taken, so no stem is multiplied out ahead.
+    run, room = [], size
+    for g, lo, hi in stems:
+        while hi - lo >= room:
+            run.append((g, lo, lo + room))
+            yield run
+            lo += room
+            run, room = [], size
+        if lo < hi:
+            run.append((g, lo, hi))
+            room -= hi - lo
+    if run:
+        yield run
+
+
+def _product_rows(run, forms: list, s: int, p: int, cols: int) -> np.ndarray:
+    # The coefficient rows of a run's products, one multiplication each, in
+    # a fresh C-contiguous int64 array.
+    block = np.empty((sum(hi - lo for _, lo, hi in run), cols), np.int64)
+    r = 0
+    for g, lo, hi in run:
+        for j in range(lo, hi):
+            block[r] = multiply_by_form(g, s - 1, forms[j], p)
+            r += 1
+    return block
+
+
+def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
+    """Coefficient rows of all products of s distinct rows of `forms`, in blocks.
+
+    The subsets come in the order of `_stems`. Each block is a fresh
+    C-contiguous int64 array of `size` rows (the last one may be shorter),
+    yielded as soon as its last row is written, so no product is computed
+    ahead of the block being filled.
+    """
+    cols = monomial_basis(forms.shape[1], s).size
+    forms = list(forms)  # a list index is cheaper than a fresh view per product
+    for run in _runs(_stems(forms, s, p), size):
+        yield _product_rows(run, forms, s, p, cols)
 
 
 def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
@@ -286,10 +317,10 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     through its (zero) form vanishes.
 
     Each level's product rows are eliminated in blocks of 64, in the
-    subset order of `_product_blocks`, and no block is generated after the
-    level is decided. It is decided when it fills up, when its rows run
-    out, or after a block that leaves, with rows still to come, a kernel
-    of dimension c with at most 64 projective elements, (p^c - 1)/(p - 1)
+    subset order of `_stems`, and no block is generated after the level is
+    decided. It is decided when it fills up, when its rows run out, or
+    after a block that leaves, with rows still to come, a kernel of
+    dimension c with at most 64 projective elements, (p^c - 1)/(p - 1)
     <= 64 (so only c = 1 at p >= 64). Call a point P short when its
     codeword P G has weight at most s - 1. Every product of s distinct
     forms has a factor vanishing at a short P, so P's evaluation vector
@@ -302,12 +333,25 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     reads as a short point the level is full, and if m of them do it is
     the last level, with count m.
 
+    Once a block leaves, with rows still to come, a kernel K of c <= 64
+    dimensions, one block's width, the rest of the level is worked in the
+    quotient by the rows so far. With R those rows and F the rest,
+    rank(R + F) = rank R + rank <F, K>: a product adds to the span exactly
+    when its pairing with K is nonzero. So each further product is one
+    row of c pairings, eliminated in c columns, and made from its stem
+    (see `_stems`) by one product per block with K gathered through the
+    variable maps, not multiplied out. The level fills up when the
+    pairings reach rank c; the kernel check above runs on the level's
+    kernel, the pairings' kernel mapped through K; where the rows run
+    out, the count is c minus their rank. Full, count and kernel are
+    those of the whole level.
+
     The scan stops at level d+1, the first level that is not full, and
-    caches its count HF(d+1) on the code next to d, with the level's
-    echelon: the count is the number of projective minimum-weight
-    codewords (see `ideal_degree`), and the echelon's kernel holds the
-    point of `min_weight_point` when that number is 1. Where the rows ran
-    out, the count is the echelon's codimension.
+    caches its count HF(d+1) on the code next to d, with what gives the
+    level's kernel, computed only when read: the count is the number of
+    projective minimum-weight codewords (see `ideal_degree`), and the
+    kernel holds the point of `min_weight_point` when that number is 1.
+    Where the rows ran out, the count is the level's codimension.
 
     With an integer `cap` (at least 1) the scan also returns once level
     `cap` is full, so the result is min(d, cap) and no level above `cap` is
@@ -335,34 +379,70 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
 
 
 def _short_level(forms: np.ndarray, s: int, p: int):
-    # (count, echelon) of level s of the distance scan when that level is
-    # not full, else None; the levels below it must be full (see
-    # min_distance).
+    # (count, kernel) of level s of the distance scan when that level is
+    # not full, else None, with `kernel` a callable giving a basis of the
+    # level's kernel; the levels below it must be full. A kernel K of at
+    # most `size` dimensions moves the rest of the level into the quotient
+    # by the rows so far (see min_distance and _pairing).
+    size = 64
     target = monomial_basis(forms.shape[1], s).size
     acc = kernels.Echelon(target, p)
+    kernel, pairing = acc.kernel, None
     left = math.comb(forms.shape[0], s)
-    for block in _product_blocks(forms, s, p, 64):
-        left -= block.shape[0]
-        rank = acc.insert(block, consume=True)
-        if rank == target:
+    form_list = list(forms)  # a list index is cheaper than a fresh view per product
+    c = target  # no products at all leave the whole space
+    for run in _runs(_stems(form_list, s, p), size):
+        left -= sum(hi - lo for _, lo, hi in run)
+        if pairing is None:
+            c = target - acc.insert(_product_rows(run, form_list, s, p, target), consume=True)
+        else:
+            c = quotient.cols - quotient.insert(pairing(run), consume=True)
+        if not c:
             return None
-        c = target - rank  # c > 6 never qualifies (2^7 - 1 > 64): skip a large p^c
+        # c > 6 never qualifies (2^7 - 1 > 64): skip a large p^c
         if left and c <= 6 and (p**c - 1) // (p - 1) <= 64:
-            count = len(_short_points(acc, forms, s))
-            return (count, acc) if count else None
-    return target - acc.rank, acc
+            count = len(_short_points(kernel(), forms, s, p))
+            return (count, kernel) if count else None
+        if left and pairing is None and c <= size:
+            K = acc.kernel()
+            quotient = kernels.Echelon(c, p)
+            kernel = lambda: quotient.kernel() @ K % p
+            pairing = _pairing(K, forms, s, p)
+    return c, kernel
 
 
-def _short_points(acc: kernels.Echelon, forms: np.ndarray, s: int) -> set:
+def _pairing(K: np.ndarray, forms: np.ndarray, s: int, p: int):
+    # The pairings <g L_j, K_t> of a run's products with the rows K_t of a
+    # degree-s kernel basis, as a function of the run giving a fresh int64
+    # array of one row per product. W is K gathered through the maps of
+    # the x_v, so one product G @ W over the run's stems gives U_g[v, t] =
+    # <g x_v, K_t>, and <g L_j, K_t> = sum_v L_j[v] U_g[v, t]. Those sums
+    # have at most max(size_(s-1), nvars) terms, which fixes the float type.
+    nvars = forms.shape[1]
+    lower = monomial_basis(nvars, s - 1)
+    dtype = kernels._float_type(max(lower.size, nvars), p)
+    W = K[:, lower.power_maps(1)].transpose(2, 1, 0).reshape(lower.size, -1).astype(dtype)
+    F = forms.astype(dtype)
+
+    def pairing(run):
+        U = np.array([g for g, _, _ in run], dtype) @ W
+        U = kernels._mod(U, p).reshape(len(run), nvars, -1)
+        stem = np.repeat(np.arange(len(run)), [hi - lo for _, lo, hi in run])
+        last = np.concatenate([np.arange(lo, hi) for _, lo, hi in run])
+        return kernels._mod((F[last, None] @ U[stem])[:, 0], p).astype(np.int64)
+
+    return pairing
+
+
+def _short_points(ker: np.ndarray, forms: np.ndarray, s: int, p: int) -> set:
     # The distinct points P, as tuples with last nonzero coordinate 1, whose
     # codeword forms @ P has weight at most s - 1, read off the projective
-    # elements of the kernel of acc, a degree-s echelon. An evaluation
-    # vector v = c P^a is read by j, the last index with v[x_j^s] != 0, so
-    # P_j != 0, and P_i = v[x_i x_j^(s-1)] = c P_j^(s-1) P_i; only those
-    # entries of each element are computed. Elements zero at every x_j^s,
-    # as no evaluation vector is, are skipped.
-    p, nvars = acc.p, forms.shape[1]
-    ker = acc.kernel()
+    # elements of the span of `ker`, a basis of a degree-s kernel. An
+    # evaluation vector v = c P^a is read by j, the last index with
+    # v[x_j^s] != 0, so P_j != 0, and P_i = v[x_i x_j^(s-1)] = c P_j^(s-1)
+    # P_i; only those entries of each element are computed. Elements zero
+    # at every x_j^s, as no evaluation vector is, are skipped.
+    nvars = forms.shape[1]
     c = ker.shape[0]
     combos = [  # last nonzero coefficient 1: one per projective element
         head + (1,) + (0,) * (c - 1 - i)
@@ -384,7 +464,8 @@ def min_weight_count(C: "LinearCode") -> int:
     This is the degree of the ideal of (d+1)-fold column-form products,
     HF(d+1), which the distance scan of `min_distance` records when it
     finds d: the number of short points of level d+1's kernel, or that
-    level's codimension where its rows ran out. A distance supplied
+    level's codimension where its rows ran out, counted in the quotient
+    by a kernel when the level ended there. A distance supplied
     without a scan leaves no count and raises ValueError: the codes that
     need one are too large to build level d+1 for.
     """
@@ -401,17 +482,20 @@ def min_weight_point(C: "LinearCode") -> ProjectivePoint:
     Requires a count of 1 (see `min_weight_count`); raises ValueError
     otherwise. The ideal of (d+1)-fold column-form products then has one
     projective zero P, the point whose codeword P G has weight d. Its
-    evaluation vector v[x^a] = c P^a lies in the kernel of the echelon the
-    distance scan kept, and P_i = v[x_i x_j^d] for any j with
+    evaluation vector v[x^a] = c P^a lies in the kernel of the level the
+    distance scan stopped at, and P_i = v[x_i x_j^d] for any j with
     v[x_j^(d+1)] != 0: the colon of the level by x_j^d, read off by
-    duality. That kernel's at most 64 projective elements (see
-    `min_distance`) are read only here, when the point is asked for, and
-    P is the one that reads as a short point.
+    duality. That kernel, the echelon's own or the pairings' kernel mapped
+    through the kernel of a level finished in the quotient (see
+    `min_distance`), is computed only here, when the point is asked for;
+    its at most 64 projective elements are read, and P is the one that
+    reads as a short point.
     """
     count = min_weight_count(C)
     if count != 1:
         raise ValueError(f"{count} projective minimum-weight codewords, not one")
-    (P,) = _short_points(C._min_level[1], C.G.a.T, C._dmin + 1)  # a zero column adds no weight
+    kernel = C._min_level[1]()
+    (P,) = _short_points(kernel, C.G.a.T, C._dmin + 1, C.field.p)  # a zero column adds no weight
     return ProjectivePoint(C.field, P)
 
 

@@ -41,9 +41,10 @@ just the rows that are nonzero in the pivot column. Each step is reduced
 mod p at once, by `_mod`'s floor quotient: delaying that reduction inside
 the loop measured slower.
 
-`reduce` takes one path for every p, GF(2) included: it unpacks the
-basis and gives rows - rows[:, pivots] @ basis, one float product in the
-type that the rule below picks for (cols, p), reduced by `_mod`.
+`reduce` takes one path for every p, GF(2) included: it gives rows -
+rows[:, pivots] @ basis with the basis rows in stored order, not sorted
+(the product needs no pivot order), one float product in the type that
+the rule below picks for (cols, p), reduced by `_mod`.
 
 The odd-p products and `reduce` run through BLAS with delayed modular
 reduction: entries are canonical residues in [0, p), below 2**b with
@@ -223,6 +224,10 @@ class _FloatRows:
     def pivots(self):
         return self.piv
 
+    def stored(self):
+        # The rows in stored order, the order of pivots(), uncopied.
+        return self.basis[: len(self.piv)]
+
     def unpack(self):
         # The rows ordered by pivot column, and those columns.
         piv = self.piv
@@ -299,6 +304,9 @@ class _PackedRows:
 
     def pivots(self):
         return list(self.rows)
+
+    def stored(self):
+        return _unpacked(list(self.rows.values()), self.cols)
 
     def unpack(self):
         pivots = sorted(self.rows)
@@ -393,9 +401,8 @@ class Echelon:
         """Residues of rows against the accumulated basis (copy; no insertion)."""
         rows = _as_matrix(rows, self.p)
         self._check_width(rows)
-        basis, pivots = self._basis.unpack()
         red = rows.astype(_float_type(self.cols, self.p))
-        red -= red[:, list(pivots)] @ basis.astype(red.dtype, copy=False)
+        red -= red[:, self._basis.pivots()] @ self._basis.stored().astype(red.dtype, copy=False)
         return _mod(red, self.p).astype(np.int64)
 
     def basis_rows(self):

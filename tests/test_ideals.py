@@ -594,9 +594,9 @@ def _spy_short_points(monkeypatch):
     seen = []
     real = ideals._short_points
 
-    def spying(acc, forms, s):
-        points = real(acc, forms, s)
-        seen.append((acc.cols - acc.rank, len(points)))
+    def spying(ker, forms, s, p):
+        points = real(ker, forms, s, p)
+        seen.append((ker.shape[0], len(points)))
         return points
 
     monkeypatch.setattr(ideals, "_short_points", spying)
@@ -631,10 +631,13 @@ def test_distance_scan_agrees_with_the_oracle_on_multi_block_levels(monkeypatch)
 def test_scan_stops_a_level_its_kernel_vector_decides(monkeypatch):
     # On the seeded [14,6,4] GF(3) code level 4 (1,001 products, 126
     # columns) is full and level 5 (2,002 products, 252 columns) has count
-    # 1. Each is decided at the first block that leaves at most 4 kernel
-    # dimensions, (3^4 - 1)/2 = 40 projective elements: level 4 jumps from
-    # 5 to 1 there, and level 5 stops at 4, where a whole level would be 1
-    # short. Fewer products are made than the level's prefix tree holds.
+    # 1. The first block leaves a kernel of at most 64 dimensions (62 and
+    # 54), so the rest of each level is paired with it in an echelon of
+    # that width. Each is decided at the first block that leaves at most 4
+    # kernel dimensions, (3^4 - 1)/2 = 40 projective elements: level 4
+    # jumps to 1 there, and level 5 stops at 4, where a whole level would
+    # be 1 short. Fewer products are made than the level's prefix tree
+    # holds.
     C = LinearCode(PrimeField(3), GF3_14_6)
     made, calls = [], []
 
@@ -651,14 +654,18 @@ def test_scan_stops_a_level_its_kernel_vector_decides(monkeypatch):
 
     monkeypatch.setattr(kernels, "Echelon", Recording)
     monkeypatch.setattr(ideals, "multiply_by_form", counting)
-    for s, full, codim in ((4, True, 1), (5, False, 4)):
+    for s, full, widths, codims in ((4, True, [126, 62], [62, 1]), (5, False, [252, 54], [54, 4])):
         made.clear()
         calls.clear()
         level = ideals._short_level(C.G.a.T, s, 3)
         assert (level is None) == full
-        assert [acc.cols - acc.rank for acc in made] == [codim]
+        assert [acc.cols for acc in made] == widths
+        assert [acc.cols - acc.rank for acc in made] == codims
         assert 0 < len(calls) < _prefix_tree(14, s)
-    assert level == (1, made[0])
+    count, kernel = level
+    ker = kernel()
+    assert count == 1 and ker.shape == (4, 252)
+    assert len(ideals._short_points(ker, C.G.a.T, 5, 3)) == 1
     assert min_distance(C) == 4 and min_weight_count(C) == 1
     _check_min_weight_point(C)
 
@@ -694,3 +701,100 @@ def test_levels_decided_from_a_kernel_of_dimension_two_or_more(monkeypatch):
     decided.clear()
     assert (min_distance(C), min_weight_count(C)) == (5, 3) == (5, projective_min_weight_count(C))
     assert decided[-1] == (4, 3)
+
+
+def _spy_quotient(monkeypatch):
+    # How the scan decided each level that it finished in the quotient by a
+    # kernel, which makes a second echelon, of the kernel's width: "rank"
+    # when the pairings reached that width, "kernel" when a kernel check
+    # ran, "rows" when the products ran out.
+    ways, events = [], []
+
+    class Recording(kernels.Echelon):
+        def __init__(self, cols, p):
+            super().__init__(cols, p)
+            events.append("echelon")
+
+    real_points, real_level = ideals._short_points, ideals._short_level
+
+    def points(*args):
+        events.append("points")
+        return real_points(*args)
+
+    def level(forms, s, p):
+        events.clear()
+        got = real_level(forms, s, p)
+        if events.count("echelon") == 2:
+            ways.append("kernel" if "points" in events else "rank" if got is None else "rows")
+        return got
+
+    monkeypatch.setattr(kernels, "Echelon", Recording)
+    monkeypatch.setattr(ideals, "_short_points", points)
+    monkeypatch.setattr(ideals, "_short_level", level)
+    return ways
+
+
+def test_levels_finished_in_the_quotient_agree_with_the_oracle(monkeypatch):
+    # Levels of 10 to 14 columns span several 64-row blocks, and once a
+    # block leaves a kernel of at most 64 dimensions the scan pairs the
+    # rest of the level with it. Cold scans and the capped scans of C^w
+    # that classify words decide such levels in each of the three ways,
+    # and d, the count, the point, every decode's nearest codeword and
+    # every ambiguous word's neighbor count are the oracle's.
+    ways = _spy_quotient(monkeypatch)
+    rng = np.random.default_rng(4242)
+    for p, ks in ((2, (4, 5, 6)), (3, (3, 4, 5)), (5, (3, 4)), (7, (3,))):
+        for _ in range(6):
+            n = int(rng.integers(10, 15))
+            C = random_code(rng, p, int(rng.choice(ks)), n)
+            d = min_distance(C)
+            assert d == enumerate_min_distance(C), C.G.a.tolist()
+            count = min_weight_count(C)
+            assert count == projective_min_weight_count(C), C.G.a.tolist()
+            if count == 1:
+                _check_min_weight_point(C)
+            for _ in range(4):
+                w = rng.integers(0, p, n)
+                res = decode(C, w)
+                d_w, vectors = nearest_neighbors(C, w)
+                if res.status is DecodeStatus.UNCORRECTABLE:
+                    assert d_w >= d
+                    continue
+                assert res.d_w == d_w, (C.G.a.tolist(), w.tolist())
+                if res.status is DecodeStatus.AMBIGUOUS:
+                    assert res.neighbor_count == vectors.shape[0] > 1
+                else:
+                    assert vectors.shape[0] == 1 and res.nearest.v.tolist() == vectors[0].tolist()
+    assert set(ways) == {"rank", "kernel", "rows"}, ways
+
+
+def test_a_level_decided_in_its_first_block_reads_no_kernel(demo_code, monkeypatch):
+    # The worked code's levels are single blocks: the last one keeps its
+    # echelon, and its kernel is computed only when the point is asked for.
+    kernel_calls = []
+    real = kernels.Echelon.kernel
+
+    def counting(self):
+        kernel_calls.append(self.cols)
+        return real(self)
+
+    monkeypatch.setattr(kernels.Echelon, "kernel", counting)
+    C = LinearCode(demo_code.field, demo_code.G.a)
+    assert min_distance(C) == 3 and min_weight_count(C) == 4
+    res = decode(C, [0, 1, 1, 1, 0, 0])
+    assert res.status is DecodeStatus.CORRECTED and kernel_calls == []
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pairings_with_a_kernel_are_exact(s):
+    # Each product's pairing row equals the product's coefficient row times
+    # the kernel basis, at p = 2039 in five variables, with residues near p.
+    # At s = 1 a stem is the constant 1, and the sums over the five
+    # coefficients of the last form pass what float32 holds exactly.
+    rng = np.random.default_rng(7 + s)
+    p = 2039
+    forms = rng.integers(p - 40, p, size=(7, 5))
+    K = rng.integers(p - 40, p, size=(3, monomial_basis(5, s).size))
+    (products,) = ideals._product_blocks(forms, s, p, 64)
+    (run,) = ideals._runs(ideals._stems(list(forms), s, p), 64)
+    assert ideals._pairing(K, forms, s, p)(run).tolist() == (products @ K.T % p).tolist()

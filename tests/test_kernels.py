@@ -134,6 +134,22 @@ def _unit_upper(rng, p, rows, cols):
     return a
 
 
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_reduce_matches_reference_with_rows_stored_out_of_pivot_order(p):
+    # Echelon rows inserted one at a time, the rightmost pivot first, are
+    # stored in descending pivot order, and reduce reads them in that order.
+    rng = np.random.default_rng(61 + p)
+    for rows, cols in [(3, 5), (38, 40), (68, 70)]:
+        a = _unit_upper(rng, p, rows, cols)[::-1].copy()
+        members = rng.integers(0, p, size=(2, rows)) @ a % p
+        extra = np.vstack([rng.integers(0, p, size=(4, cols)), members])
+        acc = kernels.Echelon(cols, p)
+        for row in a:
+            acc.insert(row[None])
+        assert acc._basis.pivots() == list(range(rows - 1, -1, -1))
+        _check_against_reference(a, p, [1] * rows, extra)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 65521])
 def test_pivot_loop_branches_match_reference(p):
     # Panels aimed at each branch of the residue's pivot loop, checked bit
