@@ -278,32 +278,19 @@ def _product_rows(run, forms: list, s: int, p: int, cols: int) -> np.ndarray:
     return block
 
 
-def _product_blocks(forms: np.ndarray, s: int, p: int, size: int):
-    """Coefficient rows of all products of s distinct rows of `forms`, in blocks.
-
-    The subsets come in the order of `_stems`. Each block is a fresh
-    C-contiguous int64 array of `size` rows (the last one may be shorter),
-    yielded as soon as its last row is written, so no product is computed
-    ahead of the block being filled.
-    """
-    cols = monomial_basis(forms.shape[1], s).size
-    forms = list(forms)  # a list index is cheaper than a fresh view per product
-    for run in _runs(_stems(forms, s, p), size):
-        yield _product_rows(run, forms, s, p, cols)
-
-
 def build_ideal(C: "LinearCode", s: int) -> IdealPiece:
     """The ideal generated by all products of s distinct column forms of C.
 
     Generators come one row per column subset, in the order of the
-    distance scan (`_product_blocks`): by largest column, smallest first,
-    and with the same largest column in lexicographic order of the others.
+    distance scan (`_stems`): by largest column, smallest first, and with
+    the same largest column in lexicographic order of the others.
     """
     s = operator.index(s)
     if not 1 <= s <= C.n:
         raise ValueError(f"product size must satisfy 1 <= s <= {C.n}, got {s}")
-    count = checked_binomial(C.n, s, "generator count")
-    rows = next(_product_blocks(C.G.a.T, s, C.field.p, count))
+    checked_binomial(C.n, s, "generator count")
+    p, forms = C.field.p, list(C.G.a.T)
+    rows = _product_rows(list(_stems(forms, s, p)), forms, s, p, monomial_basis(C.k, s).size)
     return IdealPiece._of_residues(C.field, C.k, s, rows)
 
 

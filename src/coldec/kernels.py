@@ -216,11 +216,6 @@ class _FloatRows:
             rank += k
         return rank
 
-    def columns(self, idx):
-        # The rows' entries in columns idx as int64, rows in the order of
-        # pivots(); the rest of the basis is not copied.
-        return self.basis[: len(self.piv), idx].astype(np.int64)
-
     def pivots(self):
         return self.piv
 
@@ -295,12 +290,6 @@ class _PackedRows:
                 basis[low.bit_length() - 1] = x
                 self.mask |= low
         return len(basis)
-
-    def columns(self, idx):
-        # Bit by bit, so no row is unpacked.
-        idx = idx.tolist()
-        out = np.array([[(y >> f) & 1 for f in idx] for y in self.rows.values()], np.int64)
-        return out.reshape(len(self.rows), len(idx))
 
     def pivots(self):
         return list(self.rows)
@@ -415,29 +404,25 @@ class Echelon:
 
         One int64 row per free column f: 1 at f, minus the basis rows'
         entries in column f at their pivots (the rows are fully reduced),
-        zero elsewhere. Only the basis's entries in the free columns are
-        copied, never the whole basis.
+        zero elsewhere.
         """
-        pivots = self._basis.pivots()
-        free = _free_columns(pivots, self.cols)
-        return _kernel_of_reduced(self._basis.columns(free), pivots, free, self.cols, self.p)
+        return _kernel_of_reduced(self._basis.stored(), self._basis.pivots(), self.cols, self.p)
 
 
-def _free_columns(pivots, cols: int) -> np.ndarray:
-    # The columns that are not pivots, in increasing order.
+def _kernel_of_reduced(rows, pivots, cols: int, p: int) -> np.ndarray:
+    # Canonical kernel basis of fully reduced rows of canonical residues,
+    # row i with pivot column pivots[i], in any row order and any numeric
+    # type: one int64 row per free column f, 1 at f, minus the rows'
+    # entries in column f at their pivots, zero elsewhere. Only the free
+    # columns are converted, to int64 before the negation: numpy's float
+    # remainder is several times slower than its integer one.
+    pivots = list(pivots)
     free = np.ones(cols, bool)
-    free[list(pivots)] = False
-    return np.flatnonzero(free)
-
-
-def _kernel_of_reduced(at_free, pivots, free, cols: int, p: int) -> np.ndarray:
-    # Canonical kernel basis of fully reduced int64 rows of canonical
-    # residues, row i with pivot column pivots[i], given by their entries
-    # `at_free` in the free columns `free`: one row per free column f, 1 at
-    # f, minus the rows' entries in column f at their pivots, zero elsewhere.
+    free[pivots] = False
+    free = np.flatnonzero(free)
     ker = np.zeros((free.size, cols), np.int64)
     ker[np.arange(free.size), free] = 1
-    ker[:, list(pivots)] = -at_free.T % p
+    ker[:, pivots] = -rows[:, free].astype(np.int64, copy=False).T % p
     return ker
 
 

@@ -502,24 +502,39 @@ def test_hilbert_function_stabilizes_at_ideal_degree():
     assert checked >= 5
 
 
+def _product_blocks(forms, s, p, size):
+    # The distance scan's product rows of level s, in blocks of `size`:
+    # each run of `_stems` made into rows by `_product_rows`, as soon as
+    # the run is complete.
+    cols = monomial_basis(forms.shape[1], s).size
+    forms = list(forms)
+    for run in ideals._runs(ideals._stems(forms, s, p), size):
+        yield ideals._product_rows(run, forms, s, p, cols)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_product_blocks_are_the_products_of_column_subsets(p):
     # Concatenated blocks equal the products over the column subsets taken
     # by largest column, then lexicographically; every block is a fresh
     # C-contiguous int64 array of `size` rows, the last one possibly shorter.
+    # build_ideal's generators are those products in that order.
     rng = np.random.default_rng(100 + p)
     forms = rng.integers(0, p, size=(9, 4))
+    C = LinearCode(PrimeField(p), forms.T)
     for s in (1, 3, 9):
         combos = [c + (m,) for m in range(9) for c in itertools.combinations(range(m), s - 1)]
         assert combos == sorted(itertools.combinations(range(9), s), key=lambda c: (c[-1], c))
         want = np.stack([product_of_linear_forms(forms[list(c)], p) for c in combos])
         for size in (1, 64, len(combos)):
-            blocks = list(ideals._product_blocks(forms, s, p, size))
+            blocks = list(_product_blocks(forms, s, p, size))
             assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
             assert 1 <= len(blocks[-1]) <= size
             for b in blocks:
                 assert b.dtype == np.int64 and b.flags.c_contiguous and b.flags.owndata
             assert np.concatenate(blocks).tolist() == want.tolist()
+        gens = build_ideal(C, s).gens
+        assert gens.dtype == np.int64 and gens.flags.c_contiguous and not gens.flags.writeable
+        assert gens.tolist() == want.tolist()
 
 
 def test_product_blocks_compute_no_row_ahead(monkeypatch):
@@ -537,7 +552,7 @@ def test_product_blocks_compute_no_row_ahead(monkeypatch):
 
     monkeypatch.setattr(ideals, "multiply_by_form", counting)
     forms = np.eye(5, 3, dtype=np.int64)
-    gen = ideals._product_blocks(forms, 3, 2, 1)
+    gen = _product_blocks(forms, 3, 2, 1)
     seen = []
     for block in gen:  # (2,0,1) (3,0,1) (3,0,2) (3,1,2) (4,0,1) ...
         seen.append(len(calls))
@@ -795,6 +810,6 @@ def test_pairings_with_a_kernel_are_exact(s):
     p = 2039
     forms = rng.integers(p - 40, p, size=(7, 5))
     K = rng.integers(p - 40, p, size=(3, monomial_basis(5, s).size))
-    (products,) = ideals._product_blocks(forms, s, p, 64)
+    (products,) = _product_blocks(forms, s, p, 64)
     (run,) = ideals._runs(ideals._stems(list(forms), s, p), 64)
     assert ideals._pairing(K, forms, s, p)(run).tolist() == (products @ K.T % p).tolist()

@@ -11,6 +11,7 @@ import pytest
 from coldec import kernels
 from coldec.field import PrimeField
 from coldec.ideals import LinearFormSpace
+from coldec.linalg import MatrixGF
 from reference_kernels import _echelon_insert_loops, _reduce_rows_loops, _rref_loops
 
 
@@ -345,8 +346,14 @@ def test_gf2_bool_and_integral_float_rows_match_int_rows():
         assert surfaces(rows) == want, rows.dtype
 
 
-@pytest.mark.parametrize("p,rows,cols", [(2, 9, 10), (3, 40, 45), (5, 70, 70), (7, 0, 6)])
+@pytest.mark.parametrize(
+    "p,rows,cols",
+    [(2, 9, 10), (2, 70, 80), (3, 40, 45), (5, 70, 70), (7, 0, 6), (65521, 20, 24)],
+)
 def test_kernel_is_the_orthogonal_complement(p, rows, cols):
+    # GF(2) rows of 64 columns or more are packed through np.packbits, and
+    # p = 65521 keeps a float64 basis. The accumulator's kernel, read off
+    # its stored rows, is the nullspace of its basis row for row.
     a = np.random.default_rng(rows + cols).integers(0, p, size=(rows, cols))
     acc = kernels.Echelon(cols, p)
     acc.insert(a)
@@ -354,6 +361,7 @@ def test_kernel_is_the_orthogonal_complement(p, rows, cols):
     assert ker.dtype == np.int64 and ker.shape == (cols - acc.rank, cols)
     assert not ((a @ ker.T) % p).any()
     assert kernels.rank_of_rows(ker, p) == cols - acc.rank
+    assert ker.tolist() == MatrixGF(PrimeField(p), acc.basis_rows()[0]).nullspace().tolist()
 
 
 ENTRY_POINTS = {
