@@ -46,7 +46,7 @@ class Codeword:
 class LinearCode:
     """An [n, k] linear code over GF(p) with a full-row-rank generator matrix."""
 
-    __slots__ = ("field", "G", "_dmin", "_min_level")
+    __slots__ = ("field", "G", "_dmin", "_min_level", "_full_levels", "_parent")
 
     def __init__(self, field: PrimeField, generator):
         G = MatrixGF(field, generator)
@@ -59,6 +59,8 @@ class LinearCode:
         self.G = G
         self._dmin = None
         self._min_level = None
+        self._full_levels = {}  # level s <= d: (witnesses, B^-1); see ideals._witnesses
+        self._parent = None  # the code that augment extended
 
     @property
     def n(self) -> int:
@@ -102,12 +104,19 @@ class LinearCode:
         return True, witness
 
     def augment(self, w) -> LinearCode:
-        """The [n, k+1] code generated by G with w appended as a last row."""
+        """The [n, k+1] code generated by G with w appended as a last row.
+
+        The new code keeps this code as its parent: the distance scan of
+        the augmented code starts its levels up to this code's distance
+        from this code's full levels (see `ideals.min_distance`).
+        """
         w = self._vector(w, self.n, "word")
         inside, _ = self.contains(w)
         if inside:
             raise AlreadyCodewordError("cannot augment: the word is already a codeword")
-        return LinearCode(self.field, np.concatenate([self.G.a, w[None, :]], axis=0))
+        Cw = LinearCode(self.field, np.concatenate([self.G.a, w[None, :]], axis=0))
+        Cw._parent = self
+        return Cw
 
     def remove_row(self, j: int) -> LinearCode:
         """The [n, k-1] subcode spanned by all generator rows except row j."""

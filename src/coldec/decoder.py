@@ -101,7 +101,10 @@ def decode(C: LinearCode, w, colon_power: int | None = None) -> DecodeResult:
     scan may have counted short points in a kernel of at most 64
     projective elements, before the level was whole, or finished the
     level in the quotient by a kernel of at most 64 dimensions, pairing
-    each remaining product with it (see `min_distance`).
+    each remaining product with it. Each level s <= d of C^w of more than
+    one block is paired from its start, with the kernel of the
+    C^w-products of the products that span C's level s (see
+    `min_distance`).
 
     Extraction reads the point off the colon of the product ideal by
     T^u. The colon has saturated from u = d_w on, so every u >= d_w cuts

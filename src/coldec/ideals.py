@@ -38,11 +38,14 @@ from .polybasis import (
     checked_binomial,
     monomial_basis,
     multiply_by_form,
+    multiply_rows_by_forms,
     product_of_linear_forms,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .code import LinearCode
+
+_BLOCK = 64  # products per block of a scan level
 
 __all__ = [
     "StabilizationError",
@@ -333,6 +336,17 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     out, the count is c minus their rank. Full, count and kernel are
     those of the whole level.
 
+    The scan of an augmented code C^w = C + <w> (see `LinearCode.augment`)
+    starts each level s <= d(C) of more than one block in the quotient.
+    Its forms are L_j + w_j T, and C's level s is full, so some m =
+    size_s(C) products of C, the first independent ones in subset order,
+    have an invertible matrix B; they are found, with B^-1, once per C
+    and level. Their C^w-products R are B at the monomials free of T and
+    some X_w at the c_w others, so R has the kernel K_w = (-(B^-1
+    X_w)^T | I) of c_w dimensions, and the whole level is eliminated as
+    pairings with K_w, in c_w columns instead of size_s(C^w), with the
+    same fullness, kernel check and count as above.
+
     The scan stops at level d+1, the first level that is not full, and
     caches its count HF(d+1) on the code next to d, with what gives the
     level's kernel, computed only when read: the count is the number of
@@ -354,8 +368,12 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
         return C._dmin if cap is None else min(C._dmin, cap)
     p = C.field.p
     forms = C.G.a[:, C.G.a.any(axis=0)].T
+    parent = C._parent
     for s in range(1, C.n + 2):  # products of more than n factors cannot span
-        level = _short_level(forms, s, p)
+        K = None
+        if parent is not None and s <= (parent._dmin or 0) and math.comb(len(forms), s) > _BLOCK:
+            K = _witness_kernel(C, s)
+        level = _short_level(forms, s, p, K)
         if level is not None:
             C._min_level = level
             C._dmin = s - 1
@@ -365,20 +383,24 @@ def min_distance(C: "LinearCode", cap: int | None = None) -> int:
     raise RuntimeError("minimum-distance scan failed to terminate")
 
 
-def _short_level(forms: np.ndarray, s: int, p: int):
+def _short_level(forms: np.ndarray, s: int, p: int, K: np.ndarray | None = None):
     # (count, kernel) of level s of the distance scan when that level is
     # not full, else None, with `kernel` a callable giving a basis of the
     # level's kernel; the levels below it must be full. A kernel K of at
-    # most `size` dimensions moves the rest of the level into the quotient
-    # by the rows so far (see min_distance and _pairing).
-    size = 64
+    # most _BLOCK dimensions moves the rest of the level into the quotient
+    # by the rows so far (see min_distance and _pairing). A K given is the
+    # kernel of rows in the level's span, and the level starts there.
     target = monomial_basis(forms.shape[1], s).size
     acc = kernels.Echelon(target, p)
     kernel, pairing = acc.kernel, None
     left = math.comb(forms.shape[0], s)
     form_list = list(forms)  # a list index is cheaper than a fresh view per product
     c = target  # no products at all leave the whole space
-    for run in _runs(_stems(form_list, s, p), size):
+    for run in _runs(_stems(form_list, s, p), _BLOCK):
+        if K is not None and pairing is None:
+            quotient = kernels.Echelon(len(K), p)
+            kernel = lambda: quotient.kernel() @ K % p
+            pairing = _pairing(K, forms, s, p)
         left -= sum(hi - lo for _, lo, hi in run)
         if pairing is None:
             c = target - acc.insert(_product_rows(run, form_list, s, p, target), consume=True)
@@ -390,11 +412,8 @@ def _short_level(forms: np.ndarray, s: int, p: int):
         if left and c <= 6 and (p**c - 1) // (p - 1) <= 64:
             count = len(_short_points(kernel(), forms, s, p))
             return (count, kernel) if count else None
-        if left and pairing is None and c <= size:
+        if left and pairing is None and c <= _BLOCK:
             K = acc.kernel()
-            quotient = kernels.Echelon(c, p)
-            kernel = lambda: quotient.kernel() @ K % p
-            pairing = _pairing(K, forms, s, p)
     return c, kernel
 
 
@@ -419,6 +438,67 @@ def _pairing(K: np.ndarray, forms: np.ndarray, s: int, p: int):
         return kernels._mod((F[last, None] @ U[stem])[:, 0], p).astype(np.int64)
 
     return pairing
+
+
+def _subsets(n: int, s: int):
+    # The s-subsets of range(n), as tuples, in the order of _stems.
+    return (c + (top,) for top in range(s - 1, n) for c in itertools.combinations(range(top), s - 1))
+
+
+def _subset_products(forms: np.ndarray, p: int) -> np.ndarray:
+    # Row i: the product of the s forms forms[i], an (r, s, nvars) stack.
+    g = np.ones((forms.shape[0], 1), np.int64)
+    for d in range(forms.shape[1]):
+        g = multiply_rows_by_forms(g, d, forms[:, d], p)
+    return g
+
+
+def _witnesses(C: "LinearCode", s: int):
+    # (cols, B^-1) of C's full level s, kept on C: cols (m x s) the column
+    # indices of the first m = size_s subsets, in _stems order, whose
+    # products are independent, and B the matrix of those products. The
+    # rref of [P^T | I] over all products P has its pivots in P^T at those
+    # subsets and B^-T as its right block E. P^T comes 2m columns Q at a
+    # time: the rows of E without a pivot yet are brought to rref in E Q
+    # (with their part of E), and the others cleared at the new pivots.
+    hit = C._full_levels.get(s)
+    if hit is None:
+        p, m = C.field.p, monomial_basis(C.k, s).size
+        nonzero = np.flatnonzero(C.G.a.any(axis=0))
+        subsets, found, E = _subsets(len(nonzero), s), [], np.eye(m, dtype=np.int64)
+        while len(found) < m:
+            chunk = np.array(list(itertools.islice(subsets, 2 * m)), np.int64).reshape(-1, s)
+            if not len(chunk):
+                raise RuntimeError(f"level {s} of {C!r} is not full")
+            chunk, r = nonzero[chunk], len(found)
+            A = _times(E, _subset_products(C.G.a.T[chunk], p).T, p)
+            R, _, piv = kernels.rref_array(np.hstack([A[r:], E[r:]]), p)
+            new = [c for c in piv if c < len(chunk)]
+            E[:r] = (E[:r] - _times(A[:r, new], R[: len(new), len(chunk) :], p)) % p
+            E[r:] = R[:, len(chunk) :]
+            found += [chunk[c] for c in new]
+        hit = C._full_levels[s] = (np.array(found), E.T)
+    return hit
+
+
+def _times(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    # X @ Y mod p for int64 residues, as one float product, exact in the
+    # type that _float_type picks for the inner dimension.
+    dtype = kernels._float_type(X.shape[1], p)
+    return kernels._mod(X.astype(dtype) @ Y.astype(dtype), p).astype(np.int64)
+
+
+def _witness_kernel(Cw: "LinearCode", s: int) -> np.ndarray:
+    # K_w = (-(B^-1 X)^T | I), the kernel of the products (B | X) of the
+    # parent's witnesses of level s among Cw's forms L_j + w_j T, with X
+    # at the columns of the monomials that T divides.
+    cols, Binv = _witnesses(Cw._parent, s)
+    R = _subset_products(Cw.G.a.T[cols], Cw.field.p)
+    T = monomial_basis(Cw.k, s).exponents()[:, -1] > 0
+    K = np.zeros((np.count_nonzero(T), T.size), np.int64)
+    K[:, ~T] = -_times(Binv, R[:, T], Cw.field.p).T % Cw.field.p
+    K[np.arange(len(K)), np.flatnonzero(T)] = 1
+    return K
 
 
 def _short_points(ker: np.ndarray, forms: np.ndarray, s: int, p: int) -> set:

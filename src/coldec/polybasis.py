@@ -36,6 +36,7 @@ __all__ = [
     "MonomialBasis",
     "monomial_basis",
     "multiply_by_form",
+    "multiply_rows_by_forms",
     "product_of_linear_forms",
 ]
 
@@ -225,6 +226,22 @@ def multiply_by_form(f: np.ndarray, degree: int, form: np.ndarray, p: int) -> np
     padded = np.zeros(size + 1, np.int64)
     padded[:size] = f
     out = form @ padded[inv]
+    out %= p
+    return out
+
+
+def multiply_rows_by_forms(f: np.ndarray, degree: int, forms: np.ndarray, p: int) -> np.ndarray:
+    """Row i of f, a degree-`degree` polynomial, times row i of `forms`, mod p.
+
+    `multiply_by_form` row by row, one gather per variable over all rows;
+    both operands must be int64 arrays of canonical residues (unchecked).
+    """
+    size, inv = _product_table(forms.shape[1], degree)
+    padded = np.zeros((f.shape[0], size + 1), np.int64)
+    padded[:, :size] = f
+    out = np.zeros((f.shape[0], inv.shape[1]), np.int64)
+    for v in range(forms.shape[1]):
+        out += forms[:, v, None] * padded[:, inv[v]]
     out %= p
     return out
 

@@ -535,6 +535,10 @@ def test_product_blocks_are_the_products_of_column_subsets(p):
         gens = build_ideal(C, s).gens
         assert gens.dtype == np.int64 and gens.flags.c_contiguous and not gens.flags.writeable
         assert gens.tolist() == want.tolist()
+        # The witness search walks the same subsets, multiplied out a factor at a time.
+        subsets = list(ideals._subsets(9, s))
+        assert subsets == combos
+        assert ideals._subset_products(forms[np.array(subsets)], p).tolist() == want.tolist()
 
 
 def test_product_blocks_compute_no_row_ahead(monkeypatch):
@@ -720,10 +724,13 @@ def test_levels_decided_from_a_kernel_of_dimension_two_or_more(monkeypatch):
 
 def _spy_quotient(monkeypatch):
     # How the scan decided each level that it finished in the quotient by a
-    # kernel, which makes a second echelon, of the kernel's width: "rank"
-    # when the pairings reached that width, "kernel" when a kernel check
-    # ran, "rows" when the products ran out.
-    ways, events = [], []
+    # kernel, which makes a second echelon, of the kernel's width, or
+    # worked wholly there from a kernel it was given: "rank" when the
+    # pairings reached that width, "kernel" when a kernel check ran, "rows"
+    # when the products ran out. The given-kernel levels, those an
+    # augmented code splits over its parent's full level, are also listed
+    # apart.
+    ways, split, events = [], [], []
 
     class Recording(kernels.Echelon):
         def __init__(self, cols, p):
@@ -736,17 +743,19 @@ def _spy_quotient(monkeypatch):
         events.append("points")
         return real_points(*args)
 
-    def level(forms, s, p):
+    def level(forms, s, p, K=None):
         events.clear()
-        got = real_level(forms, s, p)
-        if events.count("echelon") == 2:
+        got = real_level(forms, s, p, K)
+        if K is not None or events.count("echelon") == 2:
             ways.append("kernel" if "points" in events else "rank" if got is None else "rows")
+            if K is not None:
+                split.append(ways[-1])
         return got
 
     monkeypatch.setattr(kernels, "Echelon", Recording)
     monkeypatch.setattr(ideals, "_short_points", points)
     monkeypatch.setattr(ideals, "_short_level", level)
-    return ways
+    return ways, split
 
 
 def test_levels_finished_in_the_quotient_agree_with_the_oracle(monkeypatch):
@@ -756,7 +765,7 @@ def test_levels_finished_in_the_quotient_agree_with_the_oracle(monkeypatch):
     # that classify words decide such levels in each of the three ways,
     # and d, the count, the point, every decode's nearest codeword and
     # every ambiguous word's neighbor count are the oracle's.
-    ways = _spy_quotient(monkeypatch)
+    ways, _ = _spy_quotient(monkeypatch)
     rng = np.random.default_rng(4242)
     for p, ks in ((2, (4, 5, 6)), (3, (3, 4, 5)), (5, (3, 4)), (7, (3,))):
         for _ in range(6):
@@ -781,6 +790,115 @@ def test_levels_finished_in_the_quotient_agree_with_the_oracle(monkeypatch):
                 else:
                     assert vectors.shape[0] == 1 and res.nearest.v.tolist() == vectors[0].tolist()
     assert set(ways) == {"rank", "kernel", "rows"}, ways
+
+
+def _zero_column_code(rng, p, k, n, at):
+    # A random [n+1, k] code over GF(p) whose column `at` is zero.
+    C = random_code(rng, p, k, n)
+    return LinearCode(C.field, np.insert(C.G.a, at, 0, axis=1))
+
+
+def test_split_levels_of_augmented_codes_agree_with_the_oracle(monkeypatch):
+    # The scan of C^w = C + <w> starts each multi-block level s <= d(C) in
+    # the quotient by the kernel of its parent's witnesses. Those levels
+    # are decided in each of the three ways; d_w, the count, the point,
+    # the nearest codeword and the neighbor count are the oracle's, and
+    # the same code without its parent scans to the same d_w. Among the
+    # codes is one with a zero column, which most words fill: C^w then has
+    # one form more than the parent's scan, and the witnesses are mapped
+    # through the column indices.
+    ways, split = _spy_quotient(monkeypatch)
+    rng = np.random.default_rng(31)
+    codes = [
+        random_code(rng, p, int(rng.choice(ks)), int(rng.integers(10, 15)))
+        for p, ks in ((2, (4, 5, 6)), (3, (3, 4, 5)), (5, (3, 4)), (7, (3,)))
+        for _ in range(3)
+    ]
+    codes.append(_zero_column_code(rng, 3, 4, 11, 3))
+    for C in codes:
+        d = min_distance(C)
+        for _ in range(4):
+            w = rng.integers(0, C.field.p, C.n)
+            before = len(split)
+            res = decode(C, w)
+            d_w, vectors = nearest_neighbors(C, w)
+            if res.status is DecodeStatus.IN_CODE:
+                continue
+            Cw = C.augment(w)
+            alone = LinearCode(Cw.field, Cw.G.a)  # no parent: every level whole
+            assert min_distance(Cw, cap=d) == min_distance(alone, cap=d) == min(d_w, d)
+            if C is codes[-1] and w[3]:
+                assert len(split) > before  # a split level over the filled zero column
+            if res.status is DecodeStatus.UNCORRECTABLE:
+                # Uncapped, the scan passes d, where the parent has no full level.
+                assert d_w >= d and min_distance(Cw) == enumerate_min_distance(Cw)
+                continue
+            assert res.d_w == d_w, (C.G.a.tolist(), w.tolist())
+            count = min_weight_count(Cw)
+            assert count == projective_min_weight_count(Cw) == min_weight_count(alone)
+            if count == 1:
+                assert _check_min_weight_point(Cw) == min_weight_point(alone)
+            if res.status is DecodeStatus.AMBIGUOUS:
+                assert res.neighbor_count == vectors.shape[0] == count > 1
+            else:
+                assert vectors.shape[0] == 1 and res.nearest.v.tolist() == vectors[0].tolist()
+    assert set(split) == {"rank", "kernel", "rows"}, split
+
+
+def test_witnesses_are_the_first_independent_products():
+    # On the seeded [14,6,4] GF(3) code level 4 has 126 columns, and only
+    # the first 423 of its 1,001 products span it, so the witness search
+    # takes two chunks of 252. The witnesses are the products that raise
+    # the rank, in _stems order, and B^-1 inverts their matrix. A zero
+    # column is skipped, and the witnesses name the code's own columns.
+    for G, at in ((GF3_14_6, None), (np.insert(GF3_14_6, 5, 0, axis=1), 5)):
+        C = LinearCode(PrimeField(3), G)
+        assert min_distance(C) == 4
+        cols, Binv = ideals._witnesses(C, 4)
+        assert ideals._witnesses(C, 4)[0] is cols  # computed once
+        nonzero = [j for j in range(C.n) if j != at]
+        acc, greedy = kernels.Echelon(126, 3), []
+        for subset in ideals._subsets(14, 4):
+            rank = acc.rank
+            if acc.insert([product_of_linear_forms(C.G.a.T[[nonzero[j] for j in subset]], 3)]) > rank:
+                greedy.append([nonzero[j] for j in subset])
+        assert cols.tolist() == greedy and len(greedy) == 126
+        last = tuple(nonzero.index(j) for j in greedy[-1])
+        assert list(ideals._subsets(14, 4)).index(last) == 422  # product 423
+        B = ideals._subset_products(C.G.a.T[cols], 3)
+        assert (B @ Binv % 3).tolist() == np.eye(126, dtype=np.int64).tolist()
+
+
+def test_witness_inverse_times_a_word_part_is_exact(monkeypatch):
+    # B^-1 X_w at p = 2039 with residues near p: 40 terms of up to 2038^2
+    # pass float32's 2^24, so the product runs in float64, as
+    # _float_type(40, 2039) says; forced into float32 it is wrong.
+    rng = np.random.default_rng(2039)
+    p, m, c = 2039, 40, 12
+    Binv = rng.integers(p - 30, p, size=(m, m))
+    X = rng.integers(p - 30, p, size=(m, c))
+    want = (Binv.astype(object) @ X.astype(object) % p).tolist()
+    assert ideals._times(Binv, X, p).tolist() == want
+    monkeypatch.setattr(kernels, "_float_type", lambda cols, p: np.float32)
+    assert ideals._times(Binv, X, p).tolist() != want
+
+
+def test_witness_kernel_is_the_kernel_of_the_witness_products():
+    # Over GF(2039), K_w has one row per monomial that T divides, with 1
+    # there, and the C^w-products of the parent's witnesses vanish on it.
+    rng = np.random.default_rng(7)
+    C = random_code(rng, 2039, 3, 12)
+    assert min_distance(C) >= 3
+    w = rng.integers(2000, 2039, 12)
+    Cw = C.augment(w)
+    for s in (2, 3):
+        K = ideals._witness_kernel(Cw, s)
+        T = monomial_basis(4, s).exponents()[:, -1] > 0
+        assert K.shape == (monomial_basis(4, s - 1).size, monomial_basis(4, s).size)
+        assert K[:, T].tolist() == np.eye(len(K), dtype=np.int64).tolist()
+        cols, _ = ideals._witnesses(C, s)
+        R = np.stack([product_of_linear_forms(Cw.G.a.T[c], 2039) for c in cols])
+        assert not (R.astype(object) @ K.T.astype(object) % 2039).any()
 
 
 def test_a_level_decided_in_its_first_block_reads_no_kernel(demo_code, monkeypatch):

@@ -18,6 +18,7 @@ from coldec.polybasis import (
     checked_binomial,
     monomial_basis,
     multiply_by_form,
+    multiply_rows_by_forms,
     product_of_linear_forms,
 )
 
@@ -241,6 +242,21 @@ def test_multiply_by_form_matches_generic_multiply():
                     for form in forms:
                         want = multiply(f, deg, form, 1, nvars, p)
                         assert multiply_by_form(f, deg, form, p).tolist() == want.tolist()
+
+
+def test_multiply_rows_by_forms_is_multiply_by_form_row_by_row():
+    # Every row of the stack is the product multiply_by_form gives, over
+    # GF(2) and the largest modulus, with residues up to p - 1.
+    rng = np.random.default_rng(6)
+    for p in (2, 7, 65521):
+        for nvars in (1, 3, 5):
+            for deg in range(4):
+                f = rng.integers(0, p, size=(9, monomial_basis(nvars, deg).size))
+                forms = rng.integers(0, p, size=(9, nvars))
+                f[0], forms[0] = p - 1, p - 1
+                got = multiply_rows_by_forms(f, deg, forms, p)
+                want = [multiply_by_form(a, deg, b, p).tolist() for a, b in zip(f, forms)]
+                assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_multiply_by_form_validates_length():
